@@ -10,8 +10,10 @@
 #                                  committed BENCH_sim.json, when the steady
 #                                  state allocates, when sweep-pool
 #                                  scaling regresses >20% vs the committed
-#                                  "sweep" baseline (absolute >=3x floor is
-#                                  only enforced on >=8-core hardware), or
+#                                  "sweep" baseline (compared only when the
+#                                  baseline host had the same >=2 hardware
+#                                  threads; absolute >=3x floor only on
+#                                  >=8-core hardware), or
 #                                  when the multi-tenant driver's fairness
 #                                  or throughput regresses (fairness dev
 #                                  <= 5%, sim ops/s within 20% of the
@@ -139,19 +141,26 @@ if cur["allocs_per_event"] >= 0.01:
     sys.exit("bench smoke FAILED: steady-state event cycle allocates "
              f"({cur['allocs_per_event']:.4f} allocs/event; expected ~0)")
 
-# Sweep-pool scaling gate. Wall-clock speedup is hardware-dependent, so
-# the primary check is relative to the committed baseline (same >20%
-# budget as events/sec); the paper-style absolute >=3x floor applies
-# only where it is physically meaningful (>=8 hardware threads).
+# Sweep-pool scaling gate. Wall-clock speedup depends on the hardware,
+# so a speedup is only comparable with a baseline taken on a host with
+# the same hardware thread count, and only with parallel hardware on both
+# sides (a 1-thread pool "speedup" is scheduler noise). Otherwise the
+# gate is skipped and the sweep is held to its thread-count byte-identity
+# check (bench_fig_matrix exits nonzero when the merged reports differ).
+# The paper-style absolute >=3x floor applies only where it is physically
+# meaningful (>=8 hardware threads).
 base_sweep = base.get("sweep")
 print(f"bench smoke: sweep speedup {sweep['speedup']:.2f}x at "
       f"{sweep['threads']} threads ({sweep['hw_threads']} hw)")
 if base_sweep is None:
     print("bench smoke: no committed sweep baseline; scaling gate skipped "
           "-- run scripts/bench.sh --update")
-elif sweep["hw_threads"] < 2:
-    print("bench smoke: single-core host; sweep scaling gate skipped "
-          "(pool speedup is scheduler noise without parallel hardware)")
+elif (base_sweep.get("hw_threads") != sweep["hw_threads"]
+      or sweep["hw_threads"] < 2):
+    print(f"bench smoke: sweep scaling gate skipped (baseline taken on "
+          f"{base_sweep.get('hw_threads')} hw threads, this host has "
+          f"{sweep['hw_threads']}; both must match and be >= 2); "
+          "thread-count byte-identity still gated")
 else:
     sfloor = 0.8 * base_sweep["speedup"]
     if sweep["speedup"] < sfloor:

@@ -27,9 +27,14 @@
 #   6. the sweep smoke: the fig-matrix driver fanned across an
 #      8-thread SweepRunner pool, shape-checking that the merged JSON is
 #      byte-identical to the single-thread pass;
+#   6b. the end-to-end benchmark's correctness gate: bench/e2e builds and
+#      runs all four workloads at smoke scale (run.py --smoke, every op
+#      checked by CheckedStack), then its ctest cases: e2e_smoke and
+#      e2e_determinism (same seed, same simulated results);
 #   7. the simulation-core perf smoke (scripts/bench.sh --smoke), failing
 #      on >20% events/sec regression vs the committed BENCH_sim.json (and
-#      on sweep-scaling regression vs its committed baseline);
+#      on sweep-scaling regression vs its committed baseline when that
+#      baseline came from a host with the same >=2 hardware threads);
 #   8. the suite under ASan/UBSan via scripts/sanitize.sh;
 #   9. the sweep tests + driver under TSan via scripts/sanitize.sh --tsan.
 #
@@ -114,6 +119,10 @@ stage "sweep smoke"
 # BenchReport JSON is byte-identical (scheduling must be invisible).
 cmake --build build -j "$(nproc)" --target bench_fig_matrix
 ./build/bench/bench_fig_matrix --smoke --threads=8
+
+stage "e2e benchmark correctness"
+python3 bench/e2e/run.py --smoke
+ctest --test-dir build-e2e --output-on-failure
 
 stage "bench smoke"
 scripts/bench.sh --smoke

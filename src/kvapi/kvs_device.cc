@@ -8,9 +8,8 @@ namespace kvsim::kvapi {
 void KvsDevice::store(std::string_view key, ValueDesc value, StoreDone done,
                       u8 stream, u8 nsid, u32 qid) {
   api_cpu_ns_ += cfg_.api_call_ns;
-  const std::string k(key);
   link_.submit_on(qid, key_cmds(key), key.size() + value.size,
-                  [this, k, value, stream, nsid, qid,
+                  [this, k = std::string(key), value, stream, nsid, qid,
                    done = std::move(done)]() mutable {
                     ftl_.store(
                         k, value,
@@ -25,9 +24,9 @@ void KvsDevice::store(std::string_view key, ValueDesc value, StoreDone done,
 void KvsDevice::retrieve(std::string_view key, RetrieveDone done, u8 nsid,
                          u32 qid) {
   api_cpu_ns_ += cfg_.api_call_ns;
-  const std::string k(key);
   link_.submit_on(qid, key_cmds(key), key.size(),
-                  [this, k, nsid, qid, done = std::move(done)]() mutable {
+                  [this, k = std::string(key), nsid, qid,
+                   done = std::move(done)]() mutable {
                     ftl_.retrieve(
                         k,
                         [this, qid, done = std::move(done)](Status s,
@@ -44,9 +43,9 @@ void KvsDevice::retrieve(std::string_view key, RetrieveDone done, u8 nsid,
 void KvsDevice::remove(std::string_view key, StoreDone done, u8 nsid,
                        u32 qid) {
   api_cpu_ns_ += cfg_.api_call_ns;
-  const std::string k(key);
   link_.submit_on(qid, key_cmds(key), key.size(),
-                  [this, k, nsid, qid, done = std::move(done)]() mutable {
+                  [this, k = std::string(key), nsid, qid,
+                   done = std::move(done)]() mutable {
                     ftl_.remove(
                         k,
                         [this, qid, done = std::move(done)](Status s) mutable {
@@ -59,9 +58,8 @@ void KvsDevice::remove(std::string_view key, StoreDone done, u8 nsid,
 
 void KvsDevice::exist(std::string_view key, ExistDone done, u8 nsid) {
   api_cpu_ns_ += cfg_.api_call_ns;
-  const std::string k(key);
   link_.submit(key_cmds(key), key.size(),
-               [this, k, nsid, done = std::move(done)]() mutable {
+               [this, k = std::string(key), nsid, done = std::move(done)]() mutable {
                  ftl_.exist(
                      k,
                      [this, done = std::move(done)](Status s,

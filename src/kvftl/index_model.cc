@@ -6,7 +6,8 @@ IndexModel::IndexModel(const IndexModelConfig& cfg)
     : cfg_(cfg),
       cache_capacity_(cfg.dram_bytes / cfg.segment_bytes),
       segments_(cfg.initial_segments),
-      level_base_(cfg.initial_segments) {
+      level_base_(cfg.initial_segments),
+      nodes_(cfg.initial_segments) {
   if (cache_capacity_ == 0) cache_capacity_ = 1;
 }
 
@@ -17,15 +18,61 @@ u64 IndexModel::segment_of(u64 khash) const {
   return seg;
 }
 
+void IndexModel::link_front(u32 seg) {
+  SegNode& n = nodes_[seg];
+  n.prev = kNil;
+  n.next = head_;
+  if (head_ != kNil) {
+    nodes_[head_].prev = seg;
+  } else {
+    tail_ = seg;
+  }
+  head_ = seg;
+}
+
+void IndexModel::unlink(u32 seg) {
+  SegNode& n = nodes_[seg];
+  if (n.prev != kNil) {
+    nodes_[n.prev].next = n.next;
+  } else {
+    head_ = n.next;
+  }
+  if (n.next != kNil) {
+    nodes_[n.next].prev = n.prev;
+  } else {
+    tail_ = n.prev;
+  }
+}
+
+void IndexModel::move_to_front(u32 seg) {
+  if (head_ == seg) return;
+  unlink(seg);
+  link_front(seg);
+}
+
+void IndexModel::cache_in(u32 seg, bool dirty, IndexCost& cost) {
+  nodes_[seg].cached = true;
+  nodes_[seg].dirty = dirty;
+  link_front(seg);
+  ++cached_;
+  while (cached_ > cache_capacity_) {
+    const u32 victim = tail_;
+    if (nodes_[victim].dirty) ++cost.segment_writes;
+    unlink(victim);
+    nodes_[victim] = SegNode{};
+    --cached_;
+  }
+}
+
 IndexCost IndexModel::touch(u64 seg, bool dirty) {
   IndexCost cost;
   ++touches_;
-  auto it = cache_.find(seg);
-  if (it != cache_.end()) {
+  SegNode& n = nodes_[seg];
+  if (n.cached) {
     ++hits_;
     cost.dram_hit = true;
-    it->second->dirty |= dirty;
-    lru_.splice(lru_.begin(), lru_, it->second);
+    n.dirty |= dirty;
+    move_to_front((u32)seg);
     return cost;
   }
   // Fault the segment in from flash. Past the first spill factor the
@@ -35,32 +82,8 @@ IndexCost IndexModel::touch(u64 seg, bool dirty) {
   const u64 f = cfg_.level_spill_factor;
   if (f && segments_ > cache_capacity_ * f) ++cost.segment_reads;
   if (f && segments_ > cache_capacity_ * f * f * 8) ++cost.segment_reads;
-  lru_.push_front(CacheEntry{seg, dirty});
-  cache_[seg] = lru_.begin();
-  while (lru_.size() > cache_capacity_) {
-    const CacheEntry& victim = lru_.back();
-    if (victim.dirty) ++cost.segment_writes;
-    cache_.erase(victim.seg);
-    lru_.pop_back();
-  }
+  cache_in((u32)seg, dirty, cost);
   return cost;
-}
-
-void IndexModel::install(u64 seg, IndexCost& cost) {
-  auto it = cache_.find(seg);
-  if (it != cache_.end()) {
-    it->second->dirty = true;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.push_front(CacheEntry{seg, true});
-  cache_[seg] = lru_.begin();
-  while (lru_.size() > cache_capacity_) {
-    const CacheEntry& victim = lru_.back();
-    if (victim.dirty) ++cost.segment_writes;
-    cache_.erase(victim.seg);
-    lru_.pop_back();
-  }
 }
 
 void IndexModel::maybe_split(IndexCost& cost) {
@@ -82,7 +105,10 @@ void IndexModel::maybe_split(IndexCost& cost) {
     level_base_ *= 2;
     split_ptr_ = 0;
   }
-  install(new_seg, cost);
+  // The new half has no flash copy yet: it enters the cache dirty without
+  // a read (evictions still cost write-backs).
+  nodes_.emplace_back();
+  cache_in((u32)new_seg, /*dirty=*/true, cost);
 }
 
 IndexCost IndexModel::on_insert(u64 khash) {
@@ -98,9 +124,9 @@ IndexCost IndexModel::on_update(u64 khash) {
 
 IndexCost IndexModel::on_relocate(u64 khash) {
   IndexCost cost;
-  auto it = cache_.find(segment_of(khash));
-  if (it != cache_.end()) {
-    it->second->dirty = true;  // resident: fold into its write-back
+  SegNode& n = nodes_[segment_of(khash)];
+  if (n.cached) {
+    n.dirty = true;  // resident: fold into its write-back
   } else {
     cost.segment_writes = 1;  // uncached: append a relocation delta
   }

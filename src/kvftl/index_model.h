@@ -14,8 +14,6 @@
 // caller (KvFtl) turns the returned IndexCost into real flash operations.
 #pragma once
 
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "common/hash.h"
@@ -70,13 +68,14 @@ class IndexModel {
 
   [[nodiscard]] u64 entries() const { return entries_; }
   [[nodiscard]] u64 segments() const { return segments_; }
-  [[nodiscard]] u64 cached_segments() const { return lru_.size(); }
+  [[nodiscard]] u64 cached_segments() const { return cached_; }
   [[nodiscard]] u64 cache_capacity_segments() const { return cache_capacity_; }
   /// Total index footprint on flash, for space-amplification accounting.
   [[nodiscard]] u64 flash_bytes() const {
     return segments_ * cfg_.segment_bytes;
   }
-  /// Fraction of recent primary-segment touches served from DRAM.
+  /// Fraction of primary-segment touches served from DRAM over the
+  /// model's lifetime (since construction; 1.0 before the first touch).
   [[nodiscard]] double hit_rate() const {
     return touches_ ? (double)hits_ / (double)touches_ : 1.0;
   }
@@ -88,9 +87,6 @@ class IndexModel {
  private:
   /// Touch a segment; returns cost of faulting it in (and any eviction).
   IndexCost touch(u64 seg, bool dirty);
-  /// Place a freshly-created segment in the cache without a flash read
-  /// (it has no flash copy yet); evictions still cost write-backs.
-  void install(u64 seg, IndexCost& cost);
   void maybe_split(IndexCost& cost);
 
   IndexModelConfig cfg_;
@@ -101,13 +97,27 @@ class IndexModel {
   u64 level_base_;   // number of segments when this doubling round started
   u64 split_ptr_ = 0;
 
-  // LRU cache over segment ids, with dirty flags.
-  struct CacheEntry {
-    u64 seg;
-    bool dirty;
+  // LRU cache over segment ids, with dirty flags. Segment ids are dense
+  // (0..segments_), so the list is intrusive: links live in a vector
+  // indexed by segment id, head_ most recently used, tail_ the next victim.
+  static constexpr u32 kNil = ~0u;
+  struct SegNode {
+    u32 prev = kNil;
+    u32 next = kNil;
+    bool cached = false;
+    bool dirty = false;
   };
-  std::list<CacheEntry> lru_;
-  std::unordered_map<u64, std::list<CacheEntry>::iterator> cache_;
+  void link_front(u32 seg);
+  void unlink(u32 seg);
+  void move_to_front(u32 seg);
+  /// Cache `seg` as most recently used, then evict from the tail (a dirty
+  /// victim costs a write-back) until the cache fits its budget.
+  void cache_in(u32 seg, bool dirty, IndexCost& cost);
+
+  std::vector<SegNode> nodes_;
+  u32 head_ = kNil;
+  u32 tail_ = kNil;
+  u64 cached_ = 0;
 
   u64 touches_ = 0;
   u64 hits_ = 0;

@@ -1,6 +1,7 @@
 #include "kvftl/kv_ftl.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -76,7 +77,8 @@ KvFtl::KvFtl(sim::EventQueue& eq, flash::FlashController& flash,
       bloom_(cfg.expected_keys_hint),
       iters_(cfg.track_iterator_keys),
       blocks_(dev.geometry.total_blocks()),
-      block_state_(dev.geometry.total_blocks(), kFree) {
+      block_state_(dev.geometry.total_blocks(), kFree),
+      buffered_pages_(dev.geometry.total_pages(), 0) {
   validate_kv_cfg(dev, cfg_);
   const u32 nlanes = cfg_.lanes ? cfg_.lanes : (u32)geom_.total_dies();
   lanes_.resize(std::max(nlanes, cfg_.write_streams));
@@ -117,9 +119,10 @@ void KvFtl::audit_verify() const {
   // Every index entry (blob chunk ref) must resolve to exactly one live
   // log record, and that record must agree with the shadow placement.
   u64 refs = 0;
-  for (const auto& [khash, blob] : blob_table_) {
-    for (u32 ci = 0; ci < blob.chunks.size(); ++ci) {
-      const ChunkRef& ref = blob.chunks[ci];
+  blob_table_.for_each([&](u64 khash, const BlobRec& blob) {
+    const auto chunks = blob.chunks();
+    for (u32 ci = 0; ci < chunks.size(); ++ci) {
+      const ChunkRef& ref = chunks[ci];
       if (ref.block == kPendingBlock) continue;
       ++refs;
       const auto& recs = blocks_[ref.block].recs;
@@ -145,7 +148,7 @@ void KvFtl::audit_verify() const {
                                      std::to_string(ref.rec) +
                                      " in the shadow log");
     }
-  }
+  });
   if (refs != log_audit_->placed_chunks())
     ssd::audit_fail("kvftl",
                     std::to_string(refs) + " reachable chunk refs != " +
@@ -213,12 +216,10 @@ void KvFtl::store(std::string_view key, ValueDesc value, StoreDone done,
   const u32 slots = slots_for_value(value.size, cfg_.slot_bytes);
   const u32 nchunks = chunks_for_blob(slots, cfg_.page_data_slots);
 
-  auto existing = blob_table_.find(khash);
-  const bool is_new = existing == blob_table_.end();
+  const BlobRec* existing = blob_table_.find(khash);
+  const bool is_new = existing == nullptr;
   const u64 freed =
-      is_new ? 0
-             : (u64)slots_for_value(existing->second.value_bytes,
-                                    cfg_.slot_bytes);
+      is_new ? 0 : (u64)slots_for_value(existing->value_bytes, cfg_.slot_bytes);
   if (live_slots_ + slots - std::min<u64>(freed, live_slots_) >
       (u64)((double)data_slot_capacity() * cfg_.capacity_guard)) {
     done(is_new ? Status::kCapacityLimit : Status::kDeviceFull);
@@ -245,12 +246,11 @@ void KvFtl::store(std::string_view key, ValueDesc value, StoreDone done,
   const IndexCost ic = is_new ? index_.on_insert(khash)
                               : index_.on_update(khash);
 
-  const std::string key_copy(key);
   auto join = make_join(
       2 + (int)ic.segment_reads,
-      [this, khash, key_copy, value, slots, nchunks, stream, nsid,
-       done = std::move(done)]() mutable {
-        BlobRec& blob = blob_table_[khash];
+      [this, khash, key_copy = std::string(key), value, slots, nchunks, stream,
+       nsid, done = std::move(done)]() mutable {
+        BlobRec& blob = blob_table_.find_or_insert(khash);
         // Re-decide new-vs-overwrite here: a concurrent store of the same
         // fresh key may have landed while this one was in flight.
         const bool was_new = blob.gen == 0;
@@ -268,13 +268,13 @@ void KvFtl::store(std::string_view key, ValueDesc value, StoreDone done,
         blob.vfp = value.fingerprint;
         ++blob.gen;
         if (cfg_.crash_tracking) key_dir_[khash] = KeyDirEntry{key_copy, nsid};
-        blob.chunks.assign(nchunks, ChunkRef{kPendingBlock, 0});
+        blob.assign_chunks(nchunks, ChunkRef{kPendingBlock, 0});
         place_blob(khash, blob.gen, slots, stream);
         done(Status::kOk);
       });
   buffer_.acquire((u64)slots * cfg_.slot_bytes, [join] { join->arrive(); });
   eq_.schedule_at(t_cpu, [join] { join->arrive(); });
-  charge_index_cost(ic, [join] { join->arrive(); });
+  charge_index_cost(ic, join);
 }
 
 void KvFtl::place_blob(u64 khash, u32 gen, u32 total_slots, u8 stream) {
@@ -341,19 +341,19 @@ bool KvFtl::place_chunk(u64 khash, u8 chunk_idx, u16 slot_count, bool is_gc,
   if (log_audit_) log_audit_->on_place(khash, chunk_idx, (u32)b, rec_idx,
                                        slot_count);
   if (lane.used_slots == 0) {
-    buffered_pages_.insert(page);
+    buffered_pages_[page] = 1;
     ++buffered_count_[b];
   }
   lane.used_slots += slot_count;
   lane.buffered_bytes += (u64)slot_count * cfg_.slot_bytes;
 
-  auto blob = blob_table_.find(khash);
-  if (blob != blob_table_.end() && chunk_idx < blob->second.chunks.size())
-    blob->second.chunks[chunk_idx] = ChunkRef{(u32)b, rec_idx};
-  if (cfg_.crash_tracking && blob != blob_table_.end()) {
+  BlobRec* blob = blob_table_.find(khash);
+  if (blob && chunk_idx < blob->chunks().size())
+    blob->chunks()[chunk_idx] = ChunkRef{(u32)b, rec_idx};
+  if (cfg_.crash_tracking && blob) {
     // OOB blob descriptor, mirroring what the firmware writes into the
     // page meta area: a=gen|chunk|slot_start, b=value|slots|key bytes.
-    const BlobRec& br = blob->second;
+    const BlobRec& br = *blob;
     const ChunkRec& rec = blocks_[b].recs[rec_idx];
     lane.staged.push_back(flash::OobEntry{
         khash, br.vfp,
@@ -409,7 +409,7 @@ void KvFtl::seal_page(Lane& lane, bool is_gc) {
   eq_.schedule_at(t_pack, [this, page, host_bytes, is_gc] {
     flash_.program_page(page, geom_.page_bytes, [this, page, host_bytes,
                                                  is_gc](flash::OpStatus st) {
-      buffered_pages_.erase(page);
+      buffered_pages_[page] = 0;
       --buffered_count_[page / geom_.pages_per_block];
       if (!is_gc) buffer_.release(host_bytes);
       // Recovery may issue fresh programs a flush() waiter must wait
@@ -439,7 +439,7 @@ void KvFtl::invalidate_blob(BlobRec& blob) {
   // Fresh garbage means GC can make progress again.
   gc_stuck_ = false;
   gc_futile_streak_ = 0;
-  for (const ChunkRef& ref : blob.chunks) {
+  for (const ChunkRef& ref : blob.chunks()) {
     if (ref.block == kPendingBlock) continue;  // never placed (superseded)
     ChunkRec& rec = blocks_[ref.block].recs[ref.rec];
     if (!rec.valid) continue;
@@ -451,7 +451,7 @@ void KvFtl::invalidate_blob(BlobRec& blob) {
   }
   app_bytes_live_ -=
       std::min<u64>(app_bytes_live_, (u64)blob.value_bytes + blob.key_bytes);
-  blob.chunks.clear();
+  blob.clear_chunks();
 }
 
 // ---------------------------------------------------------------------------
@@ -508,18 +508,18 @@ void KvFtl::retrieve(std::string_view key, RetrieveDone done, u8 nsid) {
   }
 
   const IndexCost ic = index_.on_lookup(khash);
-  auto it = blob_table_.find(khash);
-  if (it == blob_table_.end()) {  // Bloom false positive
+  const BlobRec* found = blob_table_.find(khash);
+  if (!found) {  // Bloom false positive
     auto join = make_join(1 + (int)ic.segment_reads,
                           [done = std::move(done)]() mutable {
                             done(Status::kNotFound, ValueDesc{});
                           });
     eq_.schedule_at(t_mgr, [join] { join->arrive(); });
-    charge_index_cost(ic, [join] { join->arrive(); });
+    charge_index_cost(ic, join);
     return;
   }
 
-  const BlobRec& blob = it->second;
+  const BlobRec& blob = *found;
   const ValueDesc out{blob.value_bytes, blob.vfp};
   stats_.host_bytes_read += blob.value_bytes;
 
@@ -531,36 +531,46 @@ void KvFtl::retrieve(std::string_view key, RetrieveDone done, u8 nsid) {
     return;
   }
 
+  // Blobs of up to two chunks (values up to two page data areas) collect
+  // their reads inline; only larger blobs spill to the heap.
+  const auto chunks = blob.chunks();
+  flash::PageRead inline_reads[2];
+  std::vector<flash::PageRead> spilled;
+  flash::PageRead* reads = inline_reads;
+  if (chunks.size() > std::size(inline_reads)) {
+    spilled.resize(chunks.size());
+    reads = spilled.data();
+  }
+  u32 nreads = 0;
   int buffered_chunks = 0;
-  std::vector<flash::PageRead> reads;
-  for (const ChunkRef& ref : blob.chunks) {
+  for (const ChunkRef& ref : chunks) {
     if (ref.block == kPendingBlock) {
       ++buffered_chunks;
       continue;
     }
     const ChunkRec& rec = blocks_[ref.block].recs[ref.rec];
     const flash::PageId page = geom_.page_id(ref.block, rec.page);
-    if (buffered_pages_.count(page)) {
+    if (buffered_pages_[page]) {
       ++buffered_chunks;
     } else {
-      reads.push_back(
-          flash::PageRead{page, (u32)rec.slot_count * cfg_.slot_bytes});
+      reads[nreads++] =
+          flash::PageRead{page, (u32)rec.slot_count * cfg_.slot_bytes};
     }
   }
 
   // All flash chunks of the blob batch into one die-op completion: the
   // host sees the value when its slowest chunk arrives either way.
   auto join = make_read_join(
-      1 + (int)ic.segment_reads + (reads.empty() ? 0 : 1) + buffered_chunks,
+      1 + (int)ic.segment_reads + (nreads == 0 ? 0 : 1) + buffered_chunks,
       [this, khash, out, done = std::move(done)](Status st) mutable {
         if (st == Status::kOk) read_cache_insert(khash, out.size);
         done(st, out);
       });
   eq_.schedule_at(t_mgr, [join] { join->arrive(); });
-  charge_index_cost(ic, [join] { join->arrive(); });
-  if (!reads.empty())
+  charge_index_cost(ic, join);
+  if (nreads != 0)
     flash_.read_multi(
-        reads.data(), (u32)reads.size(),
+        reads, nreads,
         [this, join](flash::OpStatus st, flash::PageId bad) {
           if (st == flash::OpStatus::kUncorrectable) {
             join->fail(Status::kMediaError);
@@ -589,8 +599,8 @@ void KvFtl::remove(std::string_view key, StoreDone done, u8 nsid) {
     });
     return;
   }
-  auto it = blob_table_.find(khash);
-  if (it == blob_table_.end()) {
+  BlobRec* blob = blob_table_.find(khash);
+  if (!blob) {
     eq_.schedule_at(t_mgr, [done = std::move(done)]() mutable {
       done(Status::kNotFound);
     });
@@ -598,9 +608,9 @@ void KvFtl::remove(std::string_view key, StoreDone done, u8 nsid) {
   }
 
   const IndexCost ic = index_.on_remove(khash);
-  invalidate_blob(it->second);
+  invalidate_blob(*blob);
   read_cache_evict(khash);
-  blob_table_.erase(it);
+  blob_table_.erase(khash);
   bloom_.remove(khash);
   iters_.remove(key, nsid);
   if (ns_kvp_counts_[nsid] > 0) --ns_kvp_counts_[nsid];
@@ -610,7 +620,7 @@ void KvFtl::remove(std::string_view key, StoreDone done, u8 nsid) {
                           done(Status::kOk);
                         });
   eq_.schedule_at(t_mgr, [join] { join->arrive(); });
-  charge_index_cost(ic, [join] { join->arrive(); });
+  charge_index_cost(ic, join);
 }
 
 void KvFtl::exist(std::string_view key, ExistDone done, u8 nsid) {
@@ -627,13 +637,13 @@ void KvFtl::exist(std::string_view key, ExistDone done, u8 nsid) {
     return;
   }
   const IndexCost ic = index_.on_lookup(khash);
-  const bool found = blob_table_.count(khash) != 0;
+  const bool found = blob_table_.contains(khash);
   auto join = make_join(1 + (int)ic.segment_reads,
                         [found, done = std::move(done)]() mutable {
                           done(Status::kOk, found);
                         });
   eq_.schedule_at(t_mgr, [join] { join->arrive(); });
-  charge_index_cost(ic, [join] { join->arrive(); });
+  charge_index_cost(ic, join);
 }
 
 // ---------------------------------------------------------------------------
@@ -705,29 +715,30 @@ flash::PageId KvFtl::next_index_page() {
                        (u32)((i / nblocks) % geom_.pages_per_block));
 }
 
+template <typename Latch>
 void KvFtl::charge_index_cost(const IndexCost& cost,
-                              const std::function<void()>& arrive_read) {
+                              const std::shared_ptr<Latch>& latch) {
   // A multi-level walk is serial: each level's read must finish before
   // the next level's location is known. The caller's join still receives
   // one arrival per read.
-  if (cost.segment_reads > 0) {
-    auto chain = std::make_shared<std::function<void(u32)>>();
-    // Self-capture must be weak or the closure keeps itself alive forever;
-    // each pending read callback holds the strong reference instead.
-    *chain = [this, wchain = std::weak_ptr<std::function<void(u32)>>(chain),
-              arrive_read, total = cost.segment_reads](u32 done_so_far) {
-      auto chain = wchain.lock();
-      flash_.read_page(next_index_page(), cfg_.index.segment_bytes,
-                       [chain, arrive_read, total, done_so_far] {
-                         arrive_read();
-                         if (done_so_far + 1 < total) (*chain)(done_so_far + 1);
-                       });
-    };
-    (*chain)(0);
-  }
+  if (cost.segment_reads > 0) walk_index_levels(latch, cost.segment_reads);
+  charge_index_writes(cost.segment_writes);
+}
+
+template <typename Latch>
+void KvFtl::walk_index_levels(std::shared_ptr<Latch> latch, u32 levels) {
+  flash_.read_page(next_index_page(), cfg_.index.segment_bytes,
+                   [this, latch = std::move(latch), levels]() mutable {
+                     latch->arrive();
+                     if (levels > 1)
+                       walk_index_levels(std::move(latch), levels - 1);
+                   });
+}
+
+void KvFtl::charge_index_writes(u32 segment_writes) {
   // Write-backs append entry deltas into full-page index-log programs
   // (async, batched by the local-index merge machinery).
-  index_write_accum_ += cost.segment_writes * cfg_.index.dirty_delta_bytes;
+  index_write_accum_ += segment_writes * cfg_.index.dirty_delta_bytes;
   while (index_write_accum_ >= geom_.page_bytes) {
     index_write_accum_ -= geom_.page_bytes;
     stats_.flash_bytes_written += geom_.page_bytes;
@@ -849,8 +860,7 @@ void KvFtl::migrate_and_erase(flash::BlockId victim) {
   const std::vector<ChunkRec> recs = blocks_[victim].recs;
   for (const ChunkRec& rec : recs) {
     if (!rec.valid) continue;
-    auto it = blob_table_.find(rec.khash);
-    if (it == blob_table_.end()) continue;
+    if (!blob_table_.contains(rec.khash)) continue;
     // Invalidate the old location, then re-place the chunk via a GC lane.
     BlockInfo& info = blocks_[victim];
     info.recs[&rec - recs.data()].valid = false;
@@ -865,7 +875,7 @@ void KvFtl::migrate_and_erase(flash::BlockId victim) {
     // Each relocated KVP chunk forces an index update (the paper's reason
     // KV-SSD GC is expensive). The FTL appends relocation deltas to the
     // index log — write-only, batched — rather than reading segments.
-    charge_index_cost(index_.on_relocate(rec.khash), [] {});
+    charge_index_writes(index_.on_relocate(rec.khash).segment_writes);
   }
   finish_gc(victim);
 }
@@ -917,10 +927,9 @@ void KvFtl::on_block_freed() {
   // already considers durable, so they outrank new host writes.
   while (!recovery_pending_.empty()) {
     const PendingChunk pc = recovery_pending_.front();
-    auto it = blob_table_.find(pc.khash);
-    if (it == blob_table_.end() || it->second.gen != pc.gen ||
-        pc.chunk_idx >= it->second.chunks.size() ||
-        it->second.chunks[pc.chunk_idx].block != kPendingBlock) {
+    const BlobRec* blob = blob_table_.find(pc.khash);
+    if (!blob || blob->gen != pc.gen || pc.chunk_idx >= blob->chunks().size() ||
+        blob->chunks()[pc.chunk_idx].block != kPendingBlock) {
       // Deleted or overwritten while queued; recovery chunks hold no
       // buffer bytes, so dropping them releases nothing.
       recovery_pending_.pop_front();
@@ -933,8 +942,8 @@ void KvFtl::on_block_freed() {
   }
   while (!pending_chunks_.empty()) {
     const PendingChunk pc = pending_chunks_.front();
-    auto it = blob_table_.find(pc.khash);
-    if (it == blob_table_.end() || it->second.gen != pc.gen) {
+    const BlobRec* blob = blob_table_.find(pc.khash);
+    if (!blob || blob->gen != pc.gen) {
       // The blob was deleted or overwritten while its chunk waited; drop
       // it and release the buffer space it held.
       buffer_.release((u64)pc.slot_count * cfg_.slot_bytes);
@@ -960,8 +969,9 @@ void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
   // Snapshot the pre-cut blob table for the lost-write window.
   std::vector<std::pair<u64, u64>> pre;  // (khash, vfp)
   pre.reserve(blob_table_.size());
-  for (const auto& [khash, blob] : blob_table_)
+  blob_table_.for_each([&pre](u64 khash, const BlobRec& blob) {
     pre.emplace_back(khash, blob.vfp);
+  });
 
   // Cut power at the media and the firmware engines.
   const std::vector<flash::PageId> torn = flash_.power_loss(cut);
@@ -978,7 +988,7 @@ void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
   for (auto& lane : gc_lanes_) lane = Lane{};
   std::fill(stream_rr_.begin(), stream_rr_.end(), 0u);
   gc_lane_rr_ = 0;
-  buffered_pages_.clear();
+  std::fill(buffered_pages_.begin(), buffered_pages_.end(), u8{0});
   std::fill(buffered_count_.begin(), buffered_count_.end(), 0u);
   pending_chunks_.clear();
   recovery_pending_.clear();
@@ -1081,12 +1091,12 @@ void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
           std::all_of(gc.chunks.begin(), gc.chunks.end(),
                       [](const ChunkLoc& c) { return c.present; });
       if (!complete) continue;
-      BlobRec& blob = blob_table_[khash];
+      BlobRec& blob = blob_table_.find_or_insert(khash);
       blob.value_bytes = gc.value_bytes;
       blob.key_bytes = gc.key_bytes;
       blob.gen = it->first;
       blob.vfp = gc.vfp;
-      blob.chunks.assign(gc.chunks.size(), ChunkRef{kPendingBlock, 0});
+      blob.assign_chunks((u32)gc.chunks.size(), ChunkRef{kPendingBlock, 0});
       for (u32 ci = 0; ci < gc.chunks.size(); ++ci)
         placements.push_back(Placement{gc.chunks[ci].block, gc.chunks[ci].page,
                                        gc.chunks[ci].slot_start,
@@ -1111,7 +1121,7 @@ void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
                                  pl.slot_count, pl.chunk_idx, true});
     info.valid_slots += pl.slot_count;
     live_slots_ += pl.slot_count;
-    blob_table_[pl.khash].chunks[pl.chunk_idx] =
+    blob_table_.find(pl.khash)->chunks()[pl.chunk_idx] =
         ChunkRef{(u32)pl.block, rec_idx};
     if (log_audit_)
       log_audit_->on_place(pl.khash, pl.chunk_idx, (u32)pl.block, rec_idx,
@@ -1129,13 +1139,13 @@ void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
       iters_.add(kd->second.key, kd->second.nsid);
       ++ns_kvp_counts_[kd->second.nsid];
     }
-    app_bytes_live_ += (u64)blob_table_[khash].value_bytes +
-                       blob_table_[khash].key_bytes;
+    const BlobRec* blob = blob_table_.find(khash);
+    app_bytes_live_ += (u64)blob->value_bytes + blob->key_bytes;
   }
   out.recovered_units = blob_table_.size();
   for (const auto& [khash, vfp] : pre) {
-    auto it = blob_table_.find(khash);
-    if (it == blob_table_.end() || it->second.vfp != vfp) ++out.lost_units;
+    const BlobRec* blob = blob_table_.find(khash);
+    if (!blob || blob->vfp != vfp) ++out.lost_units;
   }
 
   // Block states: grown-bad and index blocks persist; anything holding
@@ -1180,8 +1190,8 @@ void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
 }
 
 bool KvFtl::probe_durable(std::string_view key, u64 vfp, u8 nsid) const {
-  auto it = blob_table_.find(hash64(key, nsid));
-  return it != blob_table_.end() && it->second.vfp == vfp;
+  const BlobRec* blob = blob_table_.find(hash64(key, nsid));
+  return blob && blob->vfp == vfp;
 }
 
 // ---------------------------------------------------------------------------
@@ -1204,16 +1214,16 @@ void KvFtl::relocate_page_chunks(flash::PageId p) {
     live_slots_ -= std::min<u64>(live_slots_, slot_count);
     if (log_audit_)
       log_audit_->on_invalidate(khash, chunk_idx, (u32)b, ri);
-    auto it = blob_table_.find(khash);
-    if (it == blob_table_.end()) continue;  // blob already reclaimed
+    BlobRec* blob = blob_table_.find(khash);
+    if (!blob) continue;  // blob already reclaimed
     ++stats_.remapped_units;
     // Each recovered chunk re-enters the log and pays the same index
     // relocation delta a GC migration would.
-    charge_index_cost(index_.on_relocate(khash), [] {});
+    charge_index_writes(index_.on_relocate(khash).segment_writes);
     if (!place_chunk(khash, chunk_idx, slot_count, /*is_gc=*/true, 0)) {
-      it->second.chunks[chunk_idx] = ChunkRef{kPendingBlock, 0};
+      blob->chunks()[chunk_idx] = ChunkRef{kPendingBlock, 0};
       recovery_pending_.push_back(
-          PendingChunk{khash, it->second.gen, chunk_idx, 0, slot_count});
+          PendingChunk{khash, blob->gen, chunk_idx, 0, slot_count});
     }
   }
 }
@@ -1247,7 +1257,7 @@ void KvFtl::close_lane(Lane& lane, flash::BlockId b, bool is_gc) {
   if (!lane.block || *lane.block != b) return;
   const u32 open_page = lane.next_page;
   if (lane.used_slots > 0) {
-    buffered_pages_.erase(geom_.page_id(b, open_page));
+    buffered_pages_[geom_.page_id(b, open_page)] = 0;
     --buffered_count_[b];
     // Host chunks of the aborted page free their buffer space here; the
     // re-driven copies ride the recovery path, which never re-acquires.

@@ -30,10 +30,10 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "flash/controller.h"
+#include "kvftl/blob_table.h"
 #include "kvftl/bloom.h"
 #include "kvftl/index_model.h"
 #include "kvftl/iterator_buckets.h"
@@ -223,19 +223,6 @@ class KvFtl {
     bool valid;
   };
 
-  struct ChunkRef {
-    u32 block;
-    u32 rec;
-  };
-
-  struct BlobRec {
-    u32 value_bytes;
-    u16 key_bytes;
-    u32 gen = 0;  // bumped on every overwrite; stale pending chunks drop
-    u64 vfp;      // value fingerprint
-    std::vector<ChunkRef> chunks;
-  };
-
   struct BlockInfo {
     std::vector<ChunkRec> recs;
     u32 valid_slots = 0;
@@ -271,11 +258,20 @@ class KvFtl {
 
   // --- index flash traffic ---
   flash::PageId next_index_page();
-  /// Issue the flash operations implied by an IndexCost. Reads join the
-  /// caller's latch (critical path); write-backs batch into async index-
-  /// log programs.
+  /// Issue the flash operations implied by an IndexCost. Each read of
+  /// the serial level walk arrives once at the caller's join `latch`
+  /// (critical path); write-backs batch into async index-log programs.
+  template <typename Latch>
   void charge_index_cost(const IndexCost& cost,
-                         const std::function<void()>& arrive_read);
+                         const std::shared_ptr<Latch>& latch);
+  /// Read the remaining `levels` of a walk one after another; each read
+  /// arrives at `latch` before the next is issued. Allocation-free: the
+  /// completion fits sim::Fn's inline buffer.
+  template <typename Latch>
+  void walk_index_levels(std::shared_ptr<Latch> latch, u32 levels);
+  /// Append `segment_writes` dirty-segment deltas to the index log,
+  /// programming each page as it fills.
+  void charge_index_writes(u32 segment_writes);
 
   // --- garbage collection ---
   void maybe_start_gc();
@@ -329,7 +325,7 @@ class KvFtl {
   CountingBloom bloom_;
   IteratorBuckets iters_;
 
-  std::unordered_map<u64, BlobRec> blob_table_;
+  BlobTable blob_table_;
   std::vector<BlockInfo> blocks_;
   std::vector<u8> block_state_;
 
@@ -337,7 +333,8 @@ class KvFtl {
   std::vector<u32> stream_rr_;  // per-stream round-robin lane cursor
   std::vector<Lane> gc_lanes_;
   u32 gc_lane_rr_ = 0;
-  std::unordered_set<flash::PageId> buffered_pages_;
+  // Per page: 1 while its data is buffered (placed, program not landed).
+  std::vector<u8> buffered_pages_;
   // Per block: pages buffered or with an in-flight program. GC must not
   // pick a victim before its last program lands (the packer can delay a
   // program past the block's kSealed transition).

@@ -1,0 +1,170 @@
+// Allocation-regression tests for the KV-FTL command path.
+//
+// A counting global allocator pins how many heap allocations one firmware
+// command costs once the FTL's containers have warmed up: the blob table,
+// index segment cache and buffered-page flags are flat, the index level
+// walk rides sim::Fn's inline buffer, and small-blob reads collect their
+// page list inline. A count that grows means a per-op allocation crept
+// back into the hot path.
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "kvftl/kv_ftl.h"
+
+// --- counting global allocator ---------------------------------------------
+namespace {
+unsigned long long g_allocs = 0;  // tests are single-threaded
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+namespace kvsim::kvftl {
+namespace {
+
+// Per-command ceilings. Both commands allocate their join latch and the
+// join's completion closure (which owns the host callback, so it exceeds
+// sim::Fn's inline buffer); a store's closure also owns the key bytes.
+constexpr unsigned long long kRetrieveAllocs = 2;
+constexpr unsigned long long kStoreAllocs = 3;
+
+struct Bed {
+  ssd::SsdConfig dev;
+  sim::EventQueue eq;
+  flash::FlashController flash;
+  KvFtl ftl;
+
+  explicit Bed(KvFtlConfig cfg)
+      : dev(device()), flash(eq, dev.geometry, dev.timing),
+        ftl(eq, flash, dev, cfg) {}
+
+  static ssd::SsdConfig device() {
+    ssd::SsdConfig d;
+    d.geometry.channels = 2;
+    d.geometry.dies_per_channel = 2;
+    d.geometry.planes_per_die = 2;
+    d.geometry.blocks_per_plane = 8;
+    d.geometry.pages_per_block = 16;  // 64 blocks, 32 MiB raw
+    d.write_buffer_bytes = 2 * MiB;
+    return d;
+  }
+
+  // Keys are 16 bytes: past std::string's inline capacity, like the
+  // benchmark's keys, so every key copy would show up as an allocation.
+  static std::string key(u64 i) {
+    std::string k = "key-000000000000";
+    for (int d = 15; i > 0 && d >= 4; --d, i /= 10) k[(size_t)d] = (char)('0' + i % 10);
+    return k;
+  }
+
+  unsigned long long store(const std::string& k, u32 vsize) {
+    Status out = Status::kIoError;
+    const auto before = g_allocs;
+    ftl.store(k, ValueDesc{vsize, vsize}, [&out](Status s) { out = s; });
+    eq.run();
+    EXPECT_EQ(out, Status::kOk);
+    return g_allocs - before;
+  }
+  unsigned long long retrieve(const std::string& k) {
+    Status out = Status::kIoError;
+    const auto before = g_allocs;
+    ftl.retrieve(k, [&out](Status s, ValueDesc) { out = s; });
+    eq.run();
+    EXPECT_EQ(out, Status::kOk);
+    return g_allocs - before;
+  }
+  unsigned long long exist(const std::string& k) {
+    bool found = false;
+    const auto before = g_allocs;
+    ftl.exist(k, [&found](Status, bool f) { found = f; });
+    eq.run();
+    EXPECT_TRUE(found);
+    return g_allocs - before;
+  }
+  void flush() {
+    ftl.flush([] {});
+    eq.run();
+  }
+};
+
+KvFtlConfig resident_index() {
+  KvFtlConfig cfg;
+  cfg.index.dram_bytes = 4 * MiB;  // every segment stays cached
+  cfg.expected_keys_hint = 100000;
+  return cfg;
+}
+
+TEST(KvFtlAllocation, IndexHitRetrieveOfPlacedBlob) {
+  Bed bed(resident_index());
+  for (u64 i = 0; i < 64; ++i) bed.store(Bed::key(i), 4 * KiB);
+  bed.flush();  // every blob on flash: reads go to the dies
+  for (u64 i = 0; i < 64; ++i) bed.retrieve(Bed::key(i));  // warm-up
+  const u64 reads0 = bed.flash.stats().page_reads;
+  for (u64 i = 0; i < 64; ++i)
+    EXPECT_LE(bed.retrieve(Bed::key(i)), kRetrieveAllocs) << "key " << i;
+  EXPECT_EQ(bed.flash.stats().page_reads - reads0, 64u);  // one-chunk reads
+  EXPECT_EQ(bed.ftl.index().cached_segments(), bed.ftl.index().segments());
+}
+
+TEST(KvFtlAllocation, IndexHitOverwriteStore) {
+#if KVSIM_AUDIT
+  GTEST_SKIP() << "the shadow log auditor allocates per chunk placement";
+#endif
+  Bed bed(resident_index());
+  // 1 KiB values: one slot each, so the warm-up grows the open blocks'
+  // record lists well past what the measured overwrites append.
+  for (int round = 0; round < 300; ++round) bed.store(Bed::key(round % 8), KiB);
+  const u64 hits0 = bed.ftl.stats().host_write_ops;
+  for (int round = 0; round < 48; ++round)
+    EXPECT_LE(bed.store(Bed::key(round % 8), KiB), kStoreAllocs)
+        << "round " << round;
+  EXPECT_EQ(bed.ftl.stats().host_write_ops - hits0, 48u);
+  EXPECT_EQ(bed.ftl.kvp_count(), 8u);
+}
+
+TEST(KvFtlAllocation, IndexMissWalkAddsNoAllocation) {
+  KvFtlConfig cfg = resident_index();
+  cfg.index.dram_bytes = 4 * KiB;          // one cached segment
+  cfg.index.segment_split_threshold = 8;   // many segments: 3-level walks
+  Bed bed(cfg);
+  for (u64 i = 0; i < 2000; ++i) bed.store(Bed::key(i), KiB);
+  bed.flush();
+  ASSERT_GT(bed.ftl.index().segments(), 32u);  // past cap * f * f * 8
+
+  const std::string a = Bed::key(1);
+  std::string b;  // a key in another segment: looking it up evicts a's
+  for (u64 i = 2; b.empty(); ++i)
+    if (bed.ftl.index().segment_of(hash64(Bed::key(i))) !=
+        bed.ftl.index().segment_of(hash64(a)))
+      b = Bed::key(i);
+
+  bed.exist(a);
+  bed.exist(b);  // warm-up: both paths have run once
+  bed.exist(a);
+  const auto hit = bed.exist(a);  // a's segment is cached: no walk
+  const u64 reads0 = bed.flash.stats().page_reads;
+  const auto miss = bed.exist(b);  // b's segment was evicted: full walk
+  EXPECT_EQ(bed.flash.stats().page_reads - reads0, 3u);
+  EXPECT_EQ(miss, hit) << "the index level walk allocated";
+}
+
+}  // namespace
+}  // namespace kvsim::kvftl
