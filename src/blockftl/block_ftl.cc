@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
 
 namespace kvsim::blockftl {
@@ -21,24 +22,6 @@ struct Join {
 using JoinPtr = std::shared_ptr<Join>;
 JoinPtr make_join(int n, sim::Task then) {
   return std::make_shared<Join>(Join{n, std::move(then)});
-}
-
-/// Countdown latch that also accumulates the worst Status seen by its
-/// arrivals (first failure wins; later ones would overwrite recovery
-/// detail with no extra information).
-struct ReadJoin {
-  int remaining;
-  Status st = Status::kOk;
-  sim::Fn<void(Status)> then;
-  void fail(Status s) {
-    if (st == Status::kOk) st = s;
-  }
-  void arrive() {
-    if (--remaining == 0) then(st);
-  }
-};
-std::shared_ptr<ReadJoin> make_read_join(int n, sim::Fn<void(Status)> then) {
-  return std::make_shared<ReadJoin>(ReadJoin{n, Status::kOk, std::move(then)});
 }
 }  // namespace
 
@@ -65,7 +48,8 @@ BlockFtl::BlockFtl(sim::EventQueue& eq, flash::FlashController& flash,
       buffer_(eq, dev.write_buffer_bytes),
       gc_reserved_blocks_(dev.gc_reserved_blocks),
       gc_low_watermark_(dev.gc_low_watermark_blocks),
-      dispatch_ns_(dev.firmware_dispatch_ns) {
+      dispatch_ns_(dev.firmware_dispatch_ns),
+      read_cache_(cfg.read_cache_pages) {
   validate_block_cfg(dev, cfg_);
   const u64 total_slots = geom_.total_pages() * slots_per_page();
   total_slots_exported_ =
@@ -75,6 +59,7 @@ BlockFtl::BlockFtl(sim::EventQueue& eq, flash::FlashController& flash,
   content_.assign(total_slots, 0);
   valid_count_.assign(geom_.total_blocks(), 0);
   block_state_.assign(geom_.total_blocks(), kFree);
+  buffered_pages_.assign(geom_.total_pages(), 0);
   buffered_count_.assign(geom_.total_blocks(), 0);
   wps_.resize(cfg_.write_points);
   if (cfg_.crash_tracking) flash_.set_crash_tracking(true);
@@ -134,7 +119,7 @@ void BlockFtl::write(Lba lba, u32 bytes, u64 fp_base, Done done) {
   auto need_rmw = [&](u64 lpn) {
     if (map_[lpn] == kUnmapped) return;
     const flash::PageId p = map_[lpn] / slots_per_page();
-    if (!cache_contains(p) && !buffered_pages_.count(p)) rmw_pages.insert(p);
+    if (!read_cache_.contains(p) && !buffered_pages_[p]) rmw_pages.insert(p);
   };
   if (start % lp != 0) need_rmw(first);
   if (end % lp != 0) need_rmw(last);
@@ -203,7 +188,7 @@ bool BlockFtl::append_slot(WritePoint& wp, u64 lpn, u64 fp, bool seq,
   ++valid_count_[*wp.block];
   ++live_slots_;
   if (wp.pending.empty()) {
-    buffered_pages_.insert(page);
+    buffered_pages_[page] = 1;
     ++buffered_count_[*wp.block];
   }
   wp.pending.push_back(lpn);
@@ -250,7 +235,7 @@ void BlockFtl::seal_page(WritePoint& wp, bool is_gc) {
   auto issue = [this, page, real_slots, is_gc] {
     flash_.program_page(page, geom_.page_bytes, [this, page, real_slots,
                                                  is_gc](flash::OpStatus st) {
-      buffered_pages_.erase(page);
+      buffered_pages_[page] = 0;
       --buffered_count_[page / geom_.pages_per_block];
       if (!is_gc)
         buffer_.release((u64)real_slots * cfg_.logical_page_bytes);
@@ -322,8 +307,12 @@ void BlockFtl::read(Lba lba, u32 bytes, ReadDone done) {
                      : (u32)(last - first + 1);
   last_read_lpn_ = last;
 
-  // Gather flash pages to touch and the fingerprint answer.
-  std::unordered_map<flash::PageId, u32> miss_pages;  // page -> bytes
+  // Gather flash pages to touch and the fingerprint answer. The first
+  // missed page is tracked inline; a second distinct one switches to a
+  // map, whose iteration order is the order multi-page misses are charged
+  // in (and so part of every simulated result).
+  flash::PageRead one{0, 0};
+  std::optional<std::unordered_map<flash::PageId, u32>> many;  // page -> bytes
   u64 fp = 0;
   TimeNs cpu = dispatch_ns_;
   for (u64 lpn = first; lpn <= last; ++lpn) {
@@ -332,12 +321,15 @@ void BlockFtl::read(Lba lba, u32 bytes, ReadDone done) {
     fp ^= content_[gsi];
     const flash::PageId p = gsi / slots_per_page();
     ++cache_lookups_;
-    if (cache_contains(p) || buffered_pages_.count(p)) {
+    if (read_cache_.touch(p) || buffered_pages_[p]) {
       ++cache_hits_;
       cpu += cfg_.cache_hit_ns;
-      touch_cache(p);
+    } else if (!many && (one.bytes == 0 || one.page == p)) {
+      one.page = p;
+      one.bytes += (u32)lp;
     } else {
-      miss_pages[p] += (u32)lp;
+      if (!many) many.emplace().emplace(one.page, one.bytes);
+      (*many)[p] += (u32)lp;
     }
   }
   const TimeNs cpu_done = ftl_core_.reserve(eq_.now(), cpu);
@@ -345,65 +337,62 @@ void BlockFtl::read(Lba lba, u32 bytes, ReadDone done) {
   // Miss pages batch into one die-op: one completion event feeds the DRAM
   // cache (in issue order) and releases the host command.
   std::vector<flash::PageRead> reads;
-  reads.reserve(miss_pages.size());
-  for (auto [p, b] : miss_pages) reads.push_back(flash::PageRead{p, b});
-
-  auto join = make_read_join(
-      (reads.empty() ? 0 : 1) + 1,
-      [fp, done = std::move(done)](Status st) mutable { done(st, fp); });
-  eq_.schedule_at(cpu_done, [join] { join->arrive(); });
-  if (!reads.empty()) {
-    std::vector<flash::PageId> fetched;
-    fetched.reserve(reads.size());
-    for (const auto& r : reads) fetched.push_back(r.page);
-    flash_.read_multi(
-        reads.data(), (u32)reads.size(),
-        [this, join, fetched = std::move(fetched)](flash::OpStatus st,
-                                                   flash::PageId bad) {
-          for (flash::PageId p : fetched) cache_insert(p);
-          if (st == flash::OpStatus::kUncorrectable) {
-            join->fail(Status::kMediaError);
-            on_read_media_error(bad);
-          } else if (st == flash::OpStatus::kTimeout) {
-            join->fail(Status::kTimeout);
-            ++stats_.op_timeouts;
-          }
-          join->arrive();
-        });
+  if (many) {
+    reads.reserve(many->size());
+    for (auto [p, b] : *many) reads.push_back(flash::PageRead{p, b});
   }
+  const flash::PageRead* batch = many ? reads.data() : &one;
+  const u32 nbatch = many ? (u32)reads.size() : (one.bytes ? 1 : 0);
+
+  const u32 slot = reads_.acquire();
+  PendingRead& r = reads_[slot];
+  r.remaining = (nbatch ? 1 : 0) + 1;
+  r.st = Status::kOk;
+  r.fp = fp;
+  r.done = std::move(done);
+  r.fetched.clear();
+  for (u32 i = 0; i < nbatch; ++i) r.fetched.push_back(batch[i].page);
+  eq_.schedule_at(cpu_done, [this, slot] { read_arrive(slot); });
+  if (nbatch)
+    flash_.read_multi(batch, nbatch,
+                      [this, slot](flash::OpStatus st, flash::PageId bad) {
+                        read_fetched(slot, st, bad);
+                      });
 
   if (cfg_.readahead && read_streak_ >= cfg_.seq_run_threshold)
     maybe_readahead(last + 1);
 }
 
-bool BlockFtl::cache_contains(flash::PageId p) const {
-  return cache_map_.count(p) != 0;
+void BlockFtl::read_fetched(u32 slot, flash::OpStatus st, flash::PageId bad) {
+  for (flash::PageId p : reads_[slot].fetched) cache_insert(p);
+  Status err = Status::kOk;
+  if (st == flash::OpStatus::kUncorrectable) {
+    err = Status::kMediaError;
+    on_read_media_error(bad);
+  } else if (st == flash::OpStatus::kTimeout) {
+    err = Status::kTimeout;
+    ++stats_.op_timeouts;
+  }
+  PendingRead& r = reads_[slot];
+  if (r.st == Status::kOk) r.st = err;  // first failure wins
+  read_arrive(slot);
 }
 
-void BlockFtl::touch_cache(flash::PageId p) {
-  auto it = cache_map_.find(p);
-  if (it == cache_map_.end()) return;
-  cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-}
-
-void BlockFtl::cache_insert(flash::PageId p) {
-  if (cache_contains(p)) {
-    touch_cache(p);
-    return;
-  }
-  cache_lru_.push_front(p);
-  cache_map_[p] = cache_lru_.begin();
-  while (cache_lru_.size() > cfg_.read_cache_pages) {
-    cache_map_.erase(cache_lru_.back());
-    cache_lru_.pop_back();
-  }
+void BlockFtl::read_arrive(u32 slot) {
+  PendingRead& r = reads_[slot];
+  if (--r.remaining != 0) return;
+  ReadDone done = std::move(r.done);
+  const Status st = r.st;
+  const u64 fp = r.fp;
+  reads_.release(slot);  // before `done`, which may start another read
+  done(st, fp);
 }
 
 void BlockFtl::maybe_readahead(u64 next_lpn) {
   if (next_lpn >= map_.size() || map_[next_lpn] == kUnmapped) return;
   const flash::PageId p = map_[next_lpn] / slots_per_page();
-  if (cache_contains(p) || buffered_pages_.count(p)) return;
-  cache_insert(p);  // reserve the slot up-front so we don't double-fetch
+  if (read_cache_.contains(p) || buffered_pages_[p]) return;
+  read_cache_.insert(p);  // reserve the slot up-front so we don't double-fetch
   flash_.read_page(p, geom_.page_bytes, [] {});
 }
 
@@ -610,13 +599,13 @@ void BlockFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
   gc_wp_ = WritePoint{};
   wp_rr_ = 0;
   seq_wp_ = 0;
-  buffered_pages_.clear();
+  std::fill(buffered_pages_.begin(), buffered_pages_.end(), 0);
   std::fill(buffered_count_.begin(), buffered_count_.end(), 0);
   outstanding_programs_ = 0;
   drain_waiters_.clear();
   recovery_starved_.clear();
-  cache_lru_.clear();
-  cache_map_.clear();
+  read_cache_.clear();
+  reads_.clear();
   gc_running_ = false;
   gc_stuck_ = false;
   gc_futile_streak_ = 0;
@@ -825,7 +814,7 @@ void BlockFtl::close_write_point(WritePoint& wp, flash::BlockId b) {
     invalidate(lpn, /*fresh_garbage=*/false);
   }
   if (npend > 0) {
-    buffered_pages_.erase(open_page);
+    buffered_pages_[open_page] = 0;
     --buffered_count_[b];
     // Host slots of the aborted page free their buffer space here; the
     // re-driven copies ride the recovery path, which never re-acquires.

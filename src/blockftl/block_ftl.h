@@ -20,13 +20,12 @@
 #pragma once
 
 #include <deque>
-#include <list>
 #include <memory>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/flat_lru.h"
+#include "common/slot_pool.h"
 #include "flash/controller.h"
 #include "sim/event_queue.h"
 #include "sim/task.h"
@@ -151,6 +150,9 @@ class BlockFtl {
   /// Slots covered by such a write (denominator for the probe).
   [[nodiscard]] u64 probe_total_slots(Lba lba, u32 bytes) const;
 
+  /// Occupancy of the pooled per-read state (crash-recovery checks).
+  [[nodiscard]] PoolUsage read_pool_usage() const { return reads_.usage(); }
+
   /// Arm (plan.enabled) or disarm fault injection. Disarmed, no injector
   /// exists and the flash hot path is exactly the pre-fault one. Arming
   /// mid-run is allowed; the injector's wear clock starts at zero.
@@ -206,9 +208,20 @@ class BlockFtl {
   void invalidate(u64 lpn, bool fresh_garbage);
 
   // --- read path ---
-  [[nodiscard]] bool cache_contains(flash::PageId p) const;
-  void touch_cache(flash::PageId p);
-  void cache_insert(flash::PageId p);
+  /// A host read in flight: the join of its firmware-CPU slot and its
+  /// batched flash fetch, and the pages that fetch feeds to the cache.
+  struct PendingRead {
+    u32 remaining = 0;  // arrivals left: CPU slot, plus the fetch if any
+    Status st = Status::kOk;
+    u64 fp = 0;
+    ReadDone done;
+    std::vector<flash::PageId> fetched;  // in fetch (charge) order
+  };
+  void read_fetched(u32 slot, flash::OpStatus st, flash::PageId bad);
+  void read_arrive(u32 slot);
+  void cache_insert(flash::PageId p) {
+    if (!read_cache_.touch(p)) read_cache_.insert(p);
+  }
   void maybe_readahead(u64 next_lpn);
 
   // --- garbage collection ---
@@ -258,7 +271,7 @@ class BlockFtl {
   std::vector<WritePoint> wps_;
   u32 wp_rr_ = 0;
   u32 seq_wp_ = 0;  // current write point for sequential streams
-  std::unordered_set<flash::PageId> buffered_pages_;
+  std::vector<u8> buffered_pages_;  // per page: open or programming
   // Per block: pages buffered or with an in-flight program. GC must not
   // pick a victim before its last program lands (the reorg timer can
   // delay a program past the block's kSealed transition).
@@ -270,10 +283,9 @@ class BlockFtl {
   u64 last_read_lpn_ = ~0ull - 1;
   u32 read_streak_ = 0;
 
-  // DRAM read cache (LRU over flash page ids)
-  std::list<flash::PageId> cache_lru_;
-  std::unordered_map<flash::PageId, std::list<flash::PageId>::iterator>
-      cache_map_;
+  // DRAM read cache (LRU over flash page ids; a re-insert is a use)
+  FlatLru read_cache_;
+  SlotPool<PendingRead> reads_;
   u64 cache_hits_ = 0;
   u64 cache_lookups_ = 0;
 

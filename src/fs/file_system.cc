@@ -189,14 +189,27 @@ void FileSystem::read_blocks(Handle h, u64 first_block, u64 blocks,
     return;
   }
   const Inode& ino = inodes_[h];
+  const u64 last_block = first_block + blocks - 1;
+  // A range inside one extent is one device read, answered directly.
+  u64 cursor = 0;  // file block index at the start of current extent
+  for (const Extent& e : ino.extents) {
+    const u64 ext_end = cursor + e.block_count;  // one past its last block
+    if (ext_end > first_block) {
+      if (ext_end <= last_block) break;  // the range spans extents
+      cpu_ns_ += blocks * cfg_.map_cpu_ns;
+      dev_.read(lba_of_block(e.start_block + (first_block - cursor)),
+                (u32)(blocks * cfg_.block_bytes), std::move(done));
+      return;
+    }
+    cursor = ext_end;
+  }
   // Translate the block range to device reads through the extents.
   struct Piece {
     Lba lba;
     u32 bytes;
   };
   std::vector<Piece> pieces;
-  const u64 last_block = first_block + blocks - 1;
-  u64 cursor = 0;  // file block index at the start of current extent
+  cursor = 0;
   for (const Extent& e : ino.extents) {
     const u64 ext_first = cursor, ext_last = cursor + e.block_count - 1;
     if (ext_last >= first_block && ext_first <= last_block) {

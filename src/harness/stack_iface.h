@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -122,15 +124,41 @@ struct TenantCtx {
 /// HashKV): a 2-byte namespace tag prepended to the key. Workload keys
 /// start with 'k', tags with 'A'-'P', so tagged keyspaces are disjoint
 /// from each other and from the untagged default namespace.
-inline std::string tenant_key(u8 nsid, std::string_view key) {
-  if (nsid == 0) return std::string(key);
-  std::string k;
-  k.reserve(key.size() + 2);
-  k.push_back((char)('A' + (nsid >> 4)));
-  k.push_back((char)('A' + (nsid & 0xf)));
-  k.append(key);
-  return k;
-}
+///
+/// The tagged key is built in place (on the heap only past kInlineBytes)
+/// and handed to the store as a view: every store copies a key it must
+/// keep, so an op costs no key string of its own. Namespace 0 views the
+/// caller's key unchanged. Not copyable: the view may point into `buf_`.
+class TenantKey {
+ public:
+  static constexpr size_t kInlineBytes = 64;
+
+  TenantKey(u8 nsid, std::string_view key) {
+    if (nsid == 0) {
+      view_ = key;
+      return;
+    }
+    const size_t n = key.size() + 2;
+    char* p = buf_;
+    if (n > kInlineBytes) {
+      heap_.resize(n);
+      p = heap_.data();
+    }
+    p[0] = (char)('A' + (nsid >> 4));
+    p[1] = (char)('A' + (nsid & 0xf));
+    std::memcpy(p + 2, key.data(), key.size());
+    view_ = std::string_view(p, n);
+  }
+  TenantKey(const TenantKey&) = delete;
+  TenantKey& operator=(const TenantKey&) = delete;
+
+  [[nodiscard]] std::string_view view() const { return view_; }
+
+ private:
+  char buf_[kInlineBytes] = {};
+  std::string heap_;
+  std::string_view view_;
+};
 
 class KvStack {
  public:

@@ -82,6 +82,7 @@ CrashOutcome LsmBed::simulate_crash() {
   out.discarded_events = eq_.discard_pending();
   inflight_.reset();
   link_->power_cycle(cut);
+  dev_->power_cycle();
   // Device mounts first (rebuilds its map synchronously from OOB), so the
   // host recovery's durability probes see post-cut flash truth.
   blockftl::BlockFtl::DeviceRecovery dr;
@@ -124,6 +125,7 @@ CrashOutcome HashKvBed::simulate_crash() {
   out.discarded_events = eq_.discard_pending();
   inflight_.reset();
   link_->power_cycle(cut);
+  dev_->power_cycle();
   blockftl::BlockFtl::DeviceRecovery dr;
   ftl_->power_fail_and_recover(dr, [] {});
   hashkv::HashKvStore::HostRecovery hr;

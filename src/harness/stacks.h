@@ -222,36 +222,38 @@ class LsmBed final : public KvStack {
     remove_as(TenantCtx{}, key, std::move(done));
   }
   // No device namespaces on the block path: keyspace isolation is a
-  // host-side key prefix (tenant_key), and the tenant's queue is a sticky
+  // host-side key prefix (TenantKey), and the tenant's queue is a sticky
   // hint on the block device — I/O the store issues while serving this op
   // (including flushes/compaction it triggers) rides the tenant's SQ.
   void store_as(const TenantCtx& t, std::string_view key, ValueDesc v,
                 StoreDone done) override {
     auto tracked = inflight_.track(std::move(done));
     dev_->set_queue(t.queue);
-    const std::string tk = tenant_key(t.nsid, key);
+    const TenantKey tk(t.nsid, key);
     if (!faults_on_) {
-      store_->put(tk, v, std::move(tracked));
+      store_->put(tk.view(), v, std::move(tracked));
       return;
     }
     detail::run_with_retry(
         eq_, retry_, host_retries_, retry_budget_,
-        [this, tk, v](u32, auto cb) { store_->put(tk, v, std::move(cb)); },
+        [this, k = std::string(tk.view()), v](u32, auto cb) {
+          store_->put(k, v, std::move(cb));
+        },
         std::move(tracked));
   }
   void retrieve_as(const TenantCtx& t, std::string_view key,
                    RetrieveDone done) override {
     auto tracked = inflight_.track(std::move(done));
     dev_->set_queue(t.queue);
-    const std::string tk = tenant_key(t.nsid, key);
+    const TenantKey tk(t.nsid, key);
     if (!faults_on_) {
-      store_->get(tk, std::move(tracked), t.queue);
+      store_->get(tk.view(), std::move(tracked), t.queue);
       return;
     }
     detail::run_with_retry(
         eq_, retry_, host_retries_, retry_budget_,
-        [this, tk, q = t.queue](u32, auto cb) {
-          store_->get(tk, std::move(cb), q);
+        [this, k = std::string(tk.view()), q = t.queue](u32, auto cb) {
+          store_->get(k, std::move(cb), q);
         },
         std::move(tracked));
   }
@@ -259,14 +261,16 @@ class LsmBed final : public KvStack {
                  RemoveDone done) override {
     auto tracked = inflight_.track(std::move(done));
     dev_->set_queue(t.queue);
-    const std::string tk = tenant_key(t.nsid, key);
+    const TenantKey tk(t.nsid, key);
     if (!faults_on_) {
-      store_->del(tk, std::move(tracked));
+      store_->del(tk.view(), std::move(tracked));
       return;
     }
     detail::run_with_retry(
         eq_, retry_, host_retries_, retry_budget_,
-        [this, tk](u32, auto cb) { store_->del(tk, std::move(cb)); },
+        [this, k = std::string(tk.view())](u32, auto cb) {
+          store_->del(k, std::move(cb));
+        },
         std::move(tracked));
   }
   [[nodiscard]] const nvme::NvmeLink* nvme_link() const override {
@@ -290,6 +294,7 @@ class LsmBed final : public KvStack {
   sim::EventQueue& eq() override { return eq_; }
   lsm::LsmStore& store() { return *store_; }
   fs::FileSystem& fs() { return *fs_; }
+  blockapi::BlockDevice& device() { return *dev_; }
   blockftl::BlockFtl& ftl() { return *ftl_; }
   [[nodiscard]] const ssd::FtlStats* ftl_stats() const override {
     return &ftl_->stats();
@@ -366,42 +371,48 @@ class HashKvBed final : public KvStack {
                 StoreDone done) override {
     auto tracked = inflight_.track(std::move(done));
     dev_->set_queue(t.queue);
-    const std::string tk = tenant_key(t.nsid, key);
+    const TenantKey tk(t.nsid, key);
     if (!faults_on_) {
-      store_->put(tk, v, std::move(tracked));
+      store_->put(tk.view(), v, std::move(tracked));
       return;
     }
     detail::run_with_retry(
         eq_, retry_, host_retries_, retry_budget_,
-        [this, tk, v](u32, auto cb) { store_->put(tk, v, std::move(cb)); },
+        [this, k = std::string(tk.view()), v](u32, auto cb) {
+          store_->put(k, v, std::move(cb));
+        },
         std::move(tracked));
   }
   void retrieve_as(const TenantCtx& t, std::string_view key,
                    RetrieveDone done) override {
     auto tracked = inflight_.track(std::move(done));
     dev_->set_queue(t.queue);
-    const std::string tk = tenant_key(t.nsid, key);
+    const TenantKey tk(t.nsid, key);
     if (!faults_on_) {
-      store_->get(tk, std::move(tracked));
+      store_->get(tk.view(), std::move(tracked));
       return;
     }
     detail::run_with_retry(
         eq_, retry_, host_retries_, retry_budget_,
-        [this, tk](u32, auto cb) { store_->get(tk, std::move(cb)); },
+        [this, k = std::string(tk.view())](u32, auto cb) {
+          store_->get(k, std::move(cb));
+        },
         std::move(tracked));
   }
   void remove_as(const TenantCtx& t, std::string_view key,
                  RemoveDone done) override {
     auto tracked = inflight_.track(std::move(done));
     dev_->set_queue(t.queue);
-    const std::string tk = tenant_key(t.nsid, key);
+    const TenantKey tk(t.nsid, key);
     if (!faults_on_) {
-      store_->del(tk, std::move(tracked));
+      store_->del(tk.view(), std::move(tracked));
       return;
     }
     detail::run_with_retry(
         eq_, retry_, host_retries_, retry_budget_,
-        [this, tk](u32, auto cb) { store_->del(tk, std::move(cb)); },
+        [this, k = std::string(tk.view())](u32, auto cb) {
+          store_->del(k, std::move(cb));
+        },
         std::move(tracked));
   }
   [[nodiscard]] const nvme::NvmeLink* nvme_link() const override {
@@ -429,6 +440,7 @@ class HashKvBed final : public KvStack {
 
   sim::EventQueue& eq() override { return eq_; }
   hashkv::HashKvStore& store() { return *store_; }
+  blockapi::BlockDevice& device() { return *dev_; }
   blockftl::BlockFtl& ftl() { return *ftl_; }
   [[nodiscard]] const ssd::FtlStats* ftl_stats() const override {
     return &ftl_->stats();

@@ -2,12 +2,27 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 
 namespace kvsim::hashkv {
+
+void HashKvConfig::validate() const {
+  auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("HashKvConfig: ") + what);
+  };
+  if (record_align == 0 || (record_align & (record_align - 1)) != 0)
+    fail("record_align must be a power of two");
+  if (read_sector_bytes == 0 || write_block_bytes == 0 ||
+      write_block_bytes % read_sector_bytes != 0)
+    fail("write_block_bytes must be a positive multiple of read_sector_bytes");
+  if (!(defrag_threshold >= 0.0 && defrag_threshold <= 1.0))
+    fail("defrag_threshold must lie in [0, 1]");
+}
 
 HashKvStore::HashKvStore(sim::EventQueue& eq, blockapi::BlockDevice& dev,
                          const HashKvConfig& cfg)
     : eq_(eq), dev_(dev), cfg_(cfg) {
+  cfg_.validate();
   const u64 nblocks = dev_.capacity_bytes() / cfg_.write_block_bytes;
   blocks_.resize(nblocks);
   free_blocks_.reserve(nblocks);
@@ -236,7 +251,7 @@ void HashKvStore::get(std::string_view key, GetDone done) {
   cpu_ns_ += cost;
   const TimeNs t_cpu = fg_cpu_.reserve(eq_.now(), cost);
 
-  auto it = index_.find(std::string(key));
+  auto it = index_.find(key);
   if (it == index_.end()) {
     eq_.schedule_at(t_cpu, [done = std::move(done)]() mutable {
       done(Status::kNotFound, ValueDesc{});
@@ -267,7 +282,7 @@ void HashKvStore::del(std::string_view key, PutDone done) {
   const TimeNs cost = cfg_.api_ns + cfg_.index_cpu_ns;
   cpu_ns_ += cost;
   const TimeNs t_cpu = fg_cpu_.reserve(eq_.now(), cost);
-  auto it = index_.find(std::string(key));
+  auto it = index_.find(key);
   if (it == index_.end()) {
     eq_.schedule_at(t_cpu, [done = std::move(done)]() mutable {
       done(Status::kNotFound);

@@ -54,6 +54,9 @@ struct HashKvConfig {
   /// cold-restart device scan would read. Off by default (no behavior
   /// change).
   bool crash_tracking = false;
+
+  /// Throws std::invalid_argument on a config the store cannot run.
+  void validate() const;
 };
 
 class HashKvStore {
@@ -137,7 +140,17 @@ class HashKvStore {
   sim::Resource fg_cpu_;
   sim::Resource defrag_cpu_;
 
-  std::unordered_map<std::string, Rec> index_;
+  /// Hashes a key given as std::string or std::string_view alike
+  /// (std::hash<std::string_view> equals std::hash<std::string> on the
+  /// same bytes, so the index's bucket layout does not depend on which),
+  /// so lookups by string_view build no std::string.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view k) const {
+      return std::hash<std::string_view>{}(k);
+    }
+  };
+  std::unordered_map<std::string, Rec, KeyHash, std::equal_to<>> index_;
   std::vector<WriteBlock> blocks_;
   std::vector<u32> free_blocks_;
 

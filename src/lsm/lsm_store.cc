@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
 namespace kvsim::lsm {
 
@@ -27,16 +28,36 @@ std::shared_ptr<Join> make_join(int n, sim::Fn<void(Status)> then) {
 u64 mem_entry_bytes(std::string_view key, const ValueDesc& v) {
   return key.size() + v.size + 48;
 }
+
+const LsmConfig& validated(const LsmConfig& cfg) {
+  cfg.validate();
+  return cfg;
+}
 }  // namespace
+
+void LsmConfig::validate() const {
+  auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("LsmConfig: ") + what);
+  };
+  if (data_block_bytes == 0) fail("data_block_bytes must be nonzero");
+  if (sst_target_bytes == 0) fail("sst_target_bytes must be nonzero");
+  if (io_chunk_bytes == 0) fail("io_chunk_bytes must be nonzero");
+  if (num_levels < 2) fail("num_levels must be at least 2");
+  if (level_size_ratio < 2) fail("level_size_ratio must be at least 2");
+  if (l0_stall_limit < l0_compaction_trigger)
+    fail("l0_stall_limit must not be below l0_compaction_trigger");
+  if (sst_target_bytes > kMaxSstBytes || memtable_bytes > kMaxSstBytes)
+    fail("SST size past what the 32-bit entry offset can address");
+}
 
 LsmStore::LsmStore(sim::EventQueue& eq, fs::FileSystem& fs,
                    const LsmConfig& cfg)
     : eq_(eq),
       fs_(fs),
-      cfg_(cfg),
+      cfg_(validated(cfg)),
       levels_(cfg.num_levels),
       compact_rr_(cfg.num_levels, 0),
-      cache_capacity_blocks_(cfg.block_cache_bytes / cfg.data_block_bytes) {
+      block_cache_(cfg.block_cache_bytes / cfg.data_block_bytes) {
   wal_file_ = fs_.create("wal-0");
   if (cfg_.crash_tracking) wal_ledger_.file = wal_file_;
 }
@@ -491,11 +512,13 @@ void LsmStore::get(std::string_view key, GetDone done, u32 queue) {
   cpu_ns_ += cost;
   const TimeNs t_cpu = fg_cpu_.reserve(eq_.now(), cost);
 
+  const u32 slot = gets_.acquire();
+  PendingGet& g = gets_[slot];
+  g.done = std::move(done);
   auto answer = [&](const MemEntry& e) {
-    const Status s = e.tombstone ? Status::kNotFound : Status::kOk;
-    const ValueDesc v = e.tombstone ? ValueDesc{} : e.value;
-    eq_.schedule_at(
-        t_cpu, [s, v, done = std::move(done)]() mutable { done(s, v); });
+    g.st = e.tombstone ? Status::kNotFound : Status::kOk;
+    g.value = e.tombstone ? ValueDesc{} : e.value;
+    eq_.schedule_at(t_cpu, [this, slot] { finish_get(slot); });
   };
   if (auto it = memtable_.find(key); it != memtable_.end()) {
     answer(it->second);
@@ -508,102 +531,86 @@ void LsmStore::get(std::string_view key, GetDone done, u32 queue) {
     }
   }
 
-  std::vector<std::shared_ptr<Sst>> candidates;
+  g.candidates.clear();
   for (auto it = levels_[0].rbegin(); it != levels_[0].rend(); ++it)
-    if ((*it)->overlaps(key, key)) candidates.push_back(*it);
+    if ((*it)->overlaps(key, key)) g.candidates.push_back(*it);
   for (u32 l = 1; l < (u32)levels_.size(); ++l)
     for (const auto& s : levels_[l])
       if (s->overlaps(key, key)) {
-        candidates.push_back(s);
+        g.candidates.push_back(s);
         break;  // levels >0 are non-overlapping: at most one file
       }
-
-  const u64 khash = hash64(key);
-  eq_.schedule_at(t_cpu, [this, k = std::string(key), khash,
-                          candidates = std::move(candidates),
-                          done = std::move(done), queue]() mutable {
-    get_from_ssts(std::move(k), khash, std::move(candidates), 0,
-                  std::move(done), queue);
-  });
+  g.key.assign(key);
+  g.khash = hash64(key);
+  g.next = 0;
+  g.queue = queue;
+  eq_.schedule_at(t_cpu, [this, slot] { get_from_ssts(slot); });
 }
 
-void LsmStore::get_from_ssts(std::string key, u64 khash,
-                             std::vector<std::shared_ptr<Sst>> candidates,
-                             size_t idx, GetDone done, u32 queue) {
-  if (idx >= candidates.size()) {
-    done(Status::kNotFound, ValueDesc{});
+void LsmStore::get_from_ssts(u32 slot) {
+  PendingGet& g = gets_[slot];
+  if (g.next >= g.candidates.size()) {
+    g.st = Status::kNotFound;
+    g.value = ValueDesc{};
+    finish_get(slot);
     return;
   }
-  const std::shared_ptr<Sst>& sst = candidates[idx];
+  const Sst& sst = *g.candidates[g.next];
   cpu_ns_ += cfg_.bloom_check_ns;
-  if (!sst->bloom->may_contain(khash)) {
+  if (!sst.bloom->may_contain(g.khash)) {
+    ++g.next;
     eq_.schedule_after(cfg_.bloom_check_ns,
-                       [this, key = std::move(key), khash,
-                        candidates = std::move(candidates), idx,
-                        done = std::move(done), queue]() mutable {
-                         get_from_ssts(std::move(key), khash,
-                                       std::move(candidates), idx + 1,
-                                       std::move(done), queue);
-                       });
+                       [this, slot] { get_from_ssts(slot); });
     return;
   }
-  const i64 i = sst->find(key);
+  const i64 i = sst.find(g.key, g.khash);
   if (i < 0) {  // Bloom false positive: paid an index-block lookup
+    ++g.next;
     eq_.schedule_after(cfg_.block_parse_ns,
-                       [this, key = std::move(key), khash,
-                        candidates = std::move(candidates), idx,
-                        done = std::move(done), queue]() mutable {
-                         get_from_ssts(std::move(key), khash,
-                                       std::move(candidates), idx + 1,
-                                       std::move(done), queue);
-                       });
+                       [this, slot] { get_from_ssts(slot); });
     return;
   }
-  const SstEntry& e = sst->entries[(size_t)i];
-  const Status s = e.tombstone ? Status::kNotFound : Status::kOk;
-  const ValueDesc v = e.tombstone ? ValueDesc{} : e.value;
+  const SstEntry& e = sst.entries[(size_t)i];
+  g.st = e.tombstone ? Status::kNotFound : Status::kOk;
+  g.value = e.tombstone ? ValueDesc{} : e.value;
 
-  const u64 block_no = sst->offsets[(size_t)i] / cfg_.data_block_bytes;
-  const u64 block_key = (sst->id << 24) | (block_no & 0xffffff);
+  const u64 block_no = e.offset / cfg_.data_block_bytes;
+  const u64 block_key = (sst.id << 24) | (block_no & 0xffffff);
   cpu_ns_ += cfg_.block_parse_ns;
-  if (cache_lookup(block_key)) {
-    eq_.schedule_after(cfg_.block_parse_ns,
-                       [s, v, done = std::move(done)]() mutable { done(s, v); });
+  ++cache_lookups_;
+  if (block_cache_.touch(block_key)) {
+    ++cache_hits_;
+    g.candidates.clear();
+    eq_.schedule_after(cfg_.block_parse_ns, [this, slot] { finish_get(slot); });
     return;
   }
   const u64 nblocks =
       (e.value.size + cfg_.data_block_bytes - 1) / cfg_.data_block_bytes;
   const u64 read_bytes = std::max<u64>(1, nblocks) * cfg_.data_block_bytes;
-  fs_.set_queue(queue);  // this read runs events after the tenant's issue
-  fs_.read(sst->file, block_no * cfg_.data_block_bytes, read_bytes,
-           [this, block_key, s, v, done = std::move(done)](Status rs,
-                                                           u64) mutable {
-             cache_insert(block_key);
-             if (rs != Status::kOk) {
-               done(rs, ValueDesc{});  // media/timeout error trumps hit
-             } else {
-               done(s, v);
+  const fs::FileSystem::Handle file = sst.file;
+  g.block_key = block_key;
+  g.candidates.clear();  // `sst` and `e` die here if compaction dropped them
+  fs_.set_queue(g.queue);  // this read runs events after the tenant's issue
+  fs_.read(file, block_no * cfg_.data_block_bytes, read_bytes,
+           [this, slot](Status rs, u64) {
+             PendingGet& g = gets_[slot];
+             block_cache_.insert(g.block_key);
+             if (rs != Status::kOk) {  // media/timeout error trumps hit
+               g.st = rs;
+               g.value = ValueDesc{};
              }
+             finish_get(slot);
            });
 }
 
-bool LsmStore::cache_lookup(u64 block_key) {
-  ++cache_lookups_;
-  auto it = cache_map_.find(block_key);
-  if (it == cache_map_.end()) return false;
-  ++cache_hits_;
-  cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-  return true;
-}
-
-void LsmStore::cache_insert(u64 block_key) {
-  if (cache_map_.count(block_key)) return;
-  cache_lru_.push_front(block_key);
-  cache_map_[block_key] = cache_lru_.begin();
-  while (cache_lru_.size() > cache_capacity_blocks_) {
-    cache_map_.erase(cache_lru_.back());
-    cache_lru_.pop_back();
-  }
+void LsmStore::finish_get(u32 slot) {
+  PendingGet& g = gets_[slot];
+  GetDone done = std::move(g.done);
+  const Status st = g.st;
+  const ValueDesc v = g.value;
+  g.candidates.clear();
+  gets_.release(slot);  // before `done`, which may start another lookup
+  done(st, v);
 }
 
 // ---------------------------------------------------------------------------
@@ -623,8 +630,8 @@ void LsmStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
   draining_ = false;
   quiesce_waiters_.clear();
   wal_buffer_bytes_ = 0;
-  cache_lru_.clear();
-  cache_map_.clear();
+  block_cache_.clear();
+  gets_.clear();  // lookups in flight died with their events
   rotated_wal_ = fs::FileSystem::kInvalidHandle;
   fg_cpu_.power_cycle(now);
   bg_cpu_.power_cycle(now);

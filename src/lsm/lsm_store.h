@@ -17,13 +17,13 @@
 
 #include <deque>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_lru.h"
+#include "common/slot_pool.h"
 #include "lsm/sst.h"
 #include "sim/task.h"
 
@@ -59,6 +59,14 @@ struct LsmConfig {
   TimeNs bloom_check_ns = 250;
   TimeNs block_parse_ns = 8000;
   TimeNs compaction_cpu_per_kvp_ns = 5000;
+
+  /// Largest sst_target_bytes or memtable_bytes (which bounds a flushed
+  /// L0 file). A file may run a couple of entries past its target, so
+  /// half the 32-bit SstEntry::offset range is the limit.
+  static constexpr u64 kMaxSstBytes = 2 * GiB;
+
+  /// Throws std::invalid_argument on a config the store cannot run.
+  void validate() const;
 };
 
 class LsmStore {
@@ -112,6 +120,8 @@ class LsmStore {
   [[nodiscard]] u64 write_stall_events() const { return stall_events_; }
   [[nodiscard]] u64 flushes_run() const { return flushes_; }
   [[nodiscard]] u32 level_file_count(u32 level) const;
+  /// Occupancy of the pooled per-lookup state (crash-recovery checks).
+  [[nodiscard]] PoolUsage get_pool_usage() const { return gets_.usage(); }
 
   /// Test support: exhaustively locate every stored version of `key`
   /// ("memtable" / "immutable" / "L<n>:sst-<id>" with seq and
@@ -154,11 +164,22 @@ class LsmStore {
   void maybe_quiesce();
 
   // read path
-  void get_from_ssts(std::string key, u64 khash,
-                     std::vector<std::shared_ptr<Sst>> candidates, size_t idx,
-                     GetDone done, u32 queue);
-  bool cache_lookup(u64 block_key);
-  void cache_insert(u64 block_key);
+  /// A lookup past the memtables: it probes `candidates` newest first,
+  /// one event hop per Bloom miss or false positive, then answers from
+  /// the block cache or a data-block read.
+  struct PendingGet {
+    std::string key;
+    u64 khash = 0;
+    std::vector<std::shared_ptr<Sst>> candidates;
+    size_t next = 0;  // cursor into candidates
+    u32 queue = 0;
+    Status st = Status::kOk;  // the answer, once found
+    ValueDesc value;
+    u64 block_key = 0;  // the data block being read
+    GetDone done;
+  };
+  void get_from_ssts(u32 slot);
+  void finish_get(u32 slot);
 
   [[nodiscard]] u64 memtable_bytes(const Memtable& /*mt*/) const {
     return mt_bytes_;
@@ -222,10 +243,10 @@ class LsmStore {
   std::deque<PendingWrite> stalled_writes_;
   u64 stall_events_ = 0;
 
-  // block cache: LRU over (sst_id << 24 | block_no)
-  std::list<u64> cache_lru_;
-  std::unordered_map<u64, std::list<u64>::iterator> cache_map_;
-  u64 cache_capacity_blocks_;
+  SlotPool<PendingGet> gets_;
+  // block cache: LRU over (sst_id << 24 | block_no); a re-insert is not
+  // a use
+  FlatLru block_cache_;
   u64 cache_hits_ = 0;
   u64 cache_lookups_ = 0;
 

@@ -1,6 +1,8 @@
 #include "lsm/sst.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 
 namespace kvsim::lsm {
 
@@ -23,30 +25,50 @@ bool SstBloom::may_contain(u64 khash) const {
   return true;
 }
 
-i64 Sst::find(std::string_view key) const {
-  auto it = std::lower_bound(
-      entries.begin(), entries.end(), key,
-      [](const SstEntry& e, std::string_view k) { return e.key < k; });
-  if (it == entries.end() || it->key != key) return -1;
-  return it - entries.begin();
+namespace {
+/// Home slot of `khash` in a point index of `slots` slots (the high half
+/// of the 128-bit product maps the hash uniformly onto [0, slots)).
+u64 home_slot(u64 khash, u64 slots) {
+  return (u64)(((unsigned __int128)khash * slots) >> 64);
+}
+}  // namespace
+
+i64 Sst::find(std::string_view key, u64 khash) const {
+  const u64 n = point.size();
+  if (n == 0) return -1;
+  for (u64 i = home_slot(khash, n);; i = (i + 1 == n) ? 0 : i + 1) {
+    const u32 e = point[i];
+    if (e == kNoEntry) return -1;
+    if (entries[e].key == key) return e;
+  }
 }
 
 std::shared_ptr<Sst> build_sst(u64 id, std::vector<SstEntry> entries) {
   auto sst = std::make_shared<Sst>();
   sst->id = id;
   sst->entries = std::move(entries);
-  sst->offsets.reserve(sst->entries.size());
   std::vector<u64> khashes;
   khashes.reserve(sst->entries.size());
   u64 off = 0;
-  for (const SstEntry& e : sst->entries) {
-    sst->offsets.push_back(off);
+  for (SstEntry& e : sst->entries) {
+    if (off > UINT32_MAX)
+      throw std::length_error("build_sst: entry offset past 4 GiB");
+    e.offset = (u32)off;
     off += entry_file_bytes(e);
     khashes.push_back(hash64(e.key));
   }
   // ~2% metadata (index block + filter) on top of the data.
   sst->file_bytes = off + off / 50 + 4 * KiB;
   sst->bloom = std::make_unique<SstBloom>(khashes);
+  // Entries are inserted in key order, so a key stored twice resolves to
+  // its first entry, as a lower_bound would.
+  const u64 n = 2 * khashes.size();
+  sst->point.assign(n, Sst::kNoEntry);
+  for (u32 e = 0; e < (u32)khashes.size(); ++e) {
+    u64 i = home_slot(khashes[e], n);
+    while (sst->point[i] != Sst::kNoEntry) i = (i + 1 == n) ? 0 : i + 1;
+    sst->point[i] = e;
+  }
   if (!sst->entries.empty()) {
     sst->smallest = sst->entries.front().key;
     sst->largest = sst->entries.back().key;

@@ -21,6 +21,7 @@
 // rebuilt mapping tables must agree with the audit mirrors.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -350,6 +351,88 @@ TEST(CrashRecovery, DrainWaitsOutRetryBackoffWindows) {
   // The escape: quiescence reported while ops sat in backoff windows.
   EXPECT_EQ(inflight_at_drain, 0u);
   EXPECT_EQ(completed_at_drain, 20u);
+}
+
+// --- pooled per-command state across a cut ---------------------------------
+
+/// Fill `keys` keys and drain, run a burst of reads at kQd cut by a power
+/// loss after `cut` event steps, recover, run a second burst to the end,
+/// and drain. Returns `live_records()` at the cut.
+template <typename Bed>
+bool reads_across_a_cut(Bed& bed, u64 keys, u64 cut,
+                        const std::function<bool()>& live_records) {
+  for (u64 k = 0; k < keys; ++k)
+    bed.store(wl::make_key(k, kKeyBytes), ValueDesc{kValueBytes, k + 1},
+              [](Status) {});
+  bed.eq().run();
+  bed.drain([] {});
+  bed.eq().run();
+
+  Rng rng(5);
+  bool live_at_cut = false;
+  for (const u64 cut_after : {cut, u64{0}}) {
+    u64 issued = 0, inflight = 0, steps = 0;
+    auto issue = [&] {
+      for (; inflight < kQd && issued < 2000; ++issued, ++inflight)
+        bed.retrieve(wl::make_key(rng.below(keys), kKeyBytes),
+                     [&inflight](Status, ValueDesc) { --inflight; });
+    };
+    issue();
+    while (bed.eq().step()) {
+      if (cut_after > 0 && ++steps == cut_after) {
+        live_at_cut = live_records();
+        bed.simulate_crash();  // the burst's callbacks die unrun
+        break;
+      }
+      issue();
+    }
+  }
+  bool drained = false;
+  bed.drain([&drained] { drained = true; });
+  bed.eq().run();
+  EXPECT_TRUE(drained);
+  return live_at_cut;
+}
+
+/// Every record released; no pool grew past what was ever in flight at
+/// once (the FTL serves at most one read per device read command).
+void expect_pools_empty(const PoolUsage& dev, const PoolUsage& ftl) {
+  EXPECT_EQ(dev.live, 0u);
+  EXPECT_EQ(ftl.live, 0u);
+  EXPECT_LE(dev.size, dev.peak);
+  EXPECT_LE(ftl.size, ftl.peak);
+  EXPECT_LE(ftl.size, dev.peak);
+}
+
+// A cut abandons the reads in flight. Their pooled state (LSM lookups,
+// block-device commands, FTL reads) must die with them, or every cut
+// would strand records for good.
+TEST(CrashRecovery, PowerLossReleasesPooledReadStateOnLsmBed) {
+  auto bed = std::unique_ptr<LsmBed>(
+      static_cast<LsmBed*>(make_bed(kLsm).release()));
+  const bool live = reads_across_a_cut(*bed, 600, 300, [&] {
+    return bed->store().get_pool_usage().live > 0 &&
+           bed->device().command_pool_usage().live > 0 &&
+           bed->ftl().read_pool_usage().live > 0;
+  });
+  EXPECT_TRUE(live) << "a pool held no record at the cut";
+  const PoolUsage gets = bed->store().get_pool_usage();
+  EXPECT_EQ(gets.live, 0u);
+  EXPECT_LE(gets.size, kQd);  // one lookup per host read in flight
+  expect_pools_empty(bed->device().command_pool_usage(),
+                     bed->ftl().read_pool_usage());
+}
+
+TEST(CrashRecovery, PowerLossReleasesPooledReadStateOnHashKvBed) {
+  auto bed = std::unique_ptr<HashKvBed>(
+      static_cast<HashKvBed*>(make_bed(kHashKv).release()));
+  const bool live = reads_across_a_cut(*bed, 600, 300, [&] {
+    return bed->device().command_pool_usage().live > 0 &&
+           bed->ftl().read_pool_usage().live > 0;
+  });
+  EXPECT_TRUE(live) << "a pool held no record at the cut";
+  expect_pools_empty(bed->device().command_pool_usage(),
+                     bed->ftl().read_pool_usage());
 }
 
 // --- differential crash sweep ----------------------------------------------

@@ -1,7 +1,9 @@
 // Tests for the mini-Aerospike hash-index store.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <stdexcept>
 
 #include "common/rng.h"
 #include "harness/stacks.h"
@@ -156,6 +158,45 @@ TEST(HashKv, ModelBasedRandomOps) {
       model.erase(k);
     }
   }
+}
+
+// --- config validation: one seeded violation per rule -----------------------
+
+/// The default config passes; `violate` breaks exactly one rule, which
+/// both validate() and the store's constructor (via the bed) reject.
+void expect_rejected(void (*violate)(HashKvConfig&)) {
+  harness::HashKvBedConfig c = small_bed_cfg();
+  EXPECT_NO_THROW(c.store.validate());
+  violate(c.store);
+  EXPECT_THROW(c.store.validate(), std::invalid_argument);
+  EXPECT_THROW(harness::HashKvBed{c}, std::invalid_argument);
+}
+
+TEST(HashKvConfigValidate, RejectsRecordAlignNotAPowerOfTwo) {
+  expect_rejected([](HashKvConfig& c) { c.record_align = 24; });
+  expect_rejected([](HashKvConfig& c) { c.record_align = 0; });
+}
+TEST(HashKvConfigValidate, RejectsWriteBlockNotAMultipleOfTheSector) {
+  expect_rejected([](HashKvConfig& c) { c.write_block_bytes = 100'000; });
+  expect_rejected([](HashKvConfig& c) { c.read_sector_bytes = 0; });
+  expect_rejected([](HashKvConfig& c) { c.write_block_bytes = 0; });
+}
+TEST(HashKvConfigValidate, RejectsDefragThresholdOutsideUnitInterval) {
+  expect_rejected([](HashKvConfig& c) { c.defrag_threshold = -0.01; });
+  expect_rejected([](HashKvConfig& c) { c.defrag_threshold = 1.01; });
+  expect_rejected([](HashKvConfig& c) {
+    c.defrag_threshold = std::numeric_limits<double>::quiet_NaN();
+  });
+}
+
+TEST(HashKvConfigValidate, BoundaryValuesAreAccepted) {
+  HashKvConfig c;
+  c.record_align = 1;
+  c.defrag_threshold = 0.0;
+  EXPECT_NO_THROW(c.validate());
+  c.defrag_threshold = 1.0;
+  c.write_block_bytes = c.read_sector_bytes;
+  EXPECT_NO_THROW(c.validate());
 }
 
 }  // namespace

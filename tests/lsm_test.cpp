@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 
 #include "common/rng.h"
 #include "harness/stacks.h"
@@ -203,6 +204,56 @@ TEST(LsmStore, CpuScalesWithCompactionWork) {
   // Far above the ~6 us/op foreground floor (3000 ops -> ~18 ms): the
   // extra tens of milliseconds are compaction rewrites.
   EXPECT_GT(burned, 3000u * 8000u);
+}
+
+// --- config validation: one seeded violation per rule -----------------------
+
+/// The default config passes; `violate` breaks exactly one rule, which
+/// both validate() and the store's constructor (via the bed) reject.
+void expect_rejected(void (*violate)(LsmConfig&)) {
+  harness::LsmBedConfig c = small_bed_cfg();
+  EXPECT_NO_THROW(c.lsm.validate());
+  violate(c.lsm);
+  EXPECT_THROW(c.lsm.validate(), std::invalid_argument);
+  EXPECT_THROW(harness::LsmBed{c}, std::invalid_argument);
+}
+
+TEST(LsmConfigValidate, RejectsZeroDataBlock) {
+  expect_rejected([](LsmConfig& c) { c.data_block_bytes = 0; });
+}
+TEST(LsmConfigValidate, RejectsZeroSstTarget) {
+  expect_rejected([](LsmConfig& c) { c.sst_target_bytes = 0; });
+}
+TEST(LsmConfigValidate, RejectsZeroIoChunk) {
+  expect_rejected([](LsmConfig& c) { c.io_chunk_bytes = 0; });
+}
+TEST(LsmConfigValidate, RejectsFewerThanTwoLevels) {
+  expect_rejected([](LsmConfig& c) { c.num_levels = 1; });
+}
+TEST(LsmConfigValidate, RejectsLevelSizeRatioBelowTwo) {
+  expect_rejected([](LsmConfig& c) { c.level_size_ratio = 1; });
+}
+TEST(LsmConfigValidate, RejectsStallLimitBelowCompactionTrigger) {
+  expect_rejected([](LsmConfig& c) {
+    c.l0_compaction_trigger = 6;
+    c.l0_stall_limit = 5;
+  });
+}
+TEST(LsmConfigValidate, RejectsSstsPastTheEntryOffsetRange) {
+  expect_rejected(
+      [](LsmConfig& c) { c.sst_target_bytes = LsmConfig::kMaxSstBytes + 1; });
+  expect_rejected(
+      [](LsmConfig& c) { c.memtable_bytes = LsmConfig::kMaxSstBytes + 1; });
+}
+
+TEST(LsmConfigValidate, BoundaryValuesAreAccepted) {
+  LsmConfig c;
+  c.num_levels = 2;
+  c.level_size_ratio = 2;
+  c.l0_stall_limit = c.l0_compaction_trigger;
+  c.sst_target_bytes = LsmConfig::kMaxSstBytes;
+  c.memtable_bytes = LsmConfig::kMaxSstBytes;
+  EXPECT_NO_THROW(c.validate());
 }
 
 }  // namespace
