@@ -17,7 +17,9 @@
 #                                  when the multi-tenant driver's fairness
 #                                  or throughput regresses (fairness dev
 #                                  <= 5%, sim ops/s within 20% of the
-#                                  committed "multitenant" baseline), or
+#                                  committed "multitenant" baseline once
+#                                  both are normalized by the host-speed
+#                                  probe, bench_host_probe), or
 #                                  when trace replay loses record->replay
 #                                  fidelity, drops below the 5M ops/s
 #                                  floor, or regresses >20% vs the
@@ -25,9 +27,9 @@
 #                                  when the overload driver's SLO gate
 #                                  breaks (protected p99 must hold the
 #                                  target at 2x load with a bounded shed
-#                                  fraction) or its sim ops/s regresses
-#                                  >20% vs the committed "overload"
-#                                  baseline
+#                                  fraction) or its probe-normalized sim
+#                                  ops/s regresses >20% vs the committed
+#                                  "overload" baseline
 #   scripts/bench.sh --update      re-measure and rewrite BENCH_sim.json
 #
 # An optional trailing argument overrides the build directory (default:
@@ -62,33 +64,42 @@ if [ "$MODE" = full ]; then
 fi
 
 cmake --build "$BUILD_DIR" --target bench_fig_matrix bench_multitenant \
-  bench_trace_replay bench_overload -j "$(nproc)"
+  bench_trace_replay bench_overload bench_host_probe -j "$(nproc)"
 "$BUILD_DIR/bench/bench_sim_micro" --kvsim_json="$CURRENT"
 "$BUILD_DIR/bench/bench_fig_matrix" --smoke --threads=8 \
   --kvsim_json="$SWEEP_CURRENT"
 # Wall-clock best-of-3 (same idea as bench_sim_micro's internal
 # best-of-3): the driver runs ~150 ms, so a single sample is scheduler
 # noise on shared runners. Sim results are identical across runs; only
-# the wall-derived sim_ops_per_sec varies.
+# the wall-derived sim_ops_per_sec varies. The host-speed probe runs
+# before and after each batch; their mean is the batch's probe_ms.
+probe() { "$BUILD_DIR/bench/bench_host_probe"; }
+MT_PROBE_BEFORE=$(probe)
 for i in 1 2 3; do
   "$BUILD_DIR/bench/bench_multitenant" --smoke \
     --kvsim_json="$MT_CURRENT.$i" > "$BUILD_DIR/multitenant_run.log"
 done
+MT_PROBE_AFTER=$(probe)
 cat "$BUILD_DIR/multitenant_run.log"
 "$BUILD_DIR/bench/bench_trace_replay" --smoke --kvsim_json="$TR_CURRENT"
 # Same best-of-3 treatment for the overload driver (~250 ms of wall
 # clock; its sim results are identical across runs, only the
 # wall-derived sim_ops_per_sec is scheduler-sensitive).
+OV_PROBE_BEFORE=$(probe)
 for i in 1 2 3; do
   "$BUILD_DIR/bench/bench_overload" --smoke \
     --kvsim_json="$OV_CURRENT.$i" > "$BUILD_DIR/overload_run.log"
 done
+OV_PROBE_AFTER=$(probe)
 cat "$BUILD_DIR/overload_run.log"
-python3 - "$MT_CURRENT" "$OV_CURRENT" <<'EOF2'
+python3 - "$MT_CURRENT" "$MT_PROBE_BEFORE" "$MT_PROBE_AFTER" \
+  "$OV_CURRENT" "$OV_PROBE_BEFORE" "$OV_PROBE_AFTER" <<'EOF2'
 import json, sys
-for path in sys.argv[1:]:
+args = sys.argv[1:]
+for path, before, after in zip(args[0::3], args[1::3], args[2::3]):
     runs = [json.load(open(f"{path}.{i}")) for i in (1, 2, 3)]
     best = max(runs, key=lambda d: d["sim_ops_per_sec"])
+    best["probe_ms"] = round((float(before) + float(after)) / 2, 3)
     with open(path, "w") as f:
         json.dump(best, f, indent=2)
         f.write("\n")
@@ -171,23 +182,37 @@ if sweep["hw_threads"] >= 8 and sweep["speedup"] < 3.0:
     sys.exit(f"bench smoke FAILED: sweep speedup {sweep['speedup']:.2f}x "
              "< 3x on >=8-core hardware")
 
+def normalized(cur, base_doc):
+    """Sim ops/s rescaled to the baseline host's speed: the rate times
+    this batch's probe time over the baseline's."""
+    return cur["sim_ops_per_sec"] * cur["probe_ms"] / base_doc["probe_ms"]
+
+def throughput_gate(label, cur, base_doc):
+    if base_doc is None:
+        print(f"bench smoke: no committed {label} baseline; perf gate "
+              "skipped -- run scripts/bench.sh --update")
+        return
+    norm = normalized(cur, base_doc)
+    print(f"bench smoke: {label} {cur['sim_ops_per_sec'] / 1e3:.0f}k sim "
+          f"ops/s raw, {norm / 1e3:.0f}k normalized (probe "
+          f"{cur['probe_ms']:.1f} ms, baseline "
+          f"{base_doc['probe_ms']:.1f} ms); floor "
+          f"{0.8 * base_doc['sim_ops_per_sec'] / 1e3:.0f}k")
+    if norm < 0.8 * base_doc["sim_ops_per_sec"]:
+        sys.exit(f"bench smoke FAILED: {label} {norm:.0f} normalized sim "
+                 f"ops/s regressed >20% vs baseline "
+                 f"{base_doc['sim_ops_per_sec']:.0f} -- "
+                 "if intentional, rerun scripts/bench.sh --update")
+
 # Multi-tenant gate: the WRR fairness bound is absolute (the acceptance
-# criterion, not hardware-dependent); the driver's simulated-ops/sec
-# carries the same 20% regression budget as the other perf numbers.
-base_mt = base.get("multitenant")
-print(f"bench smoke: multitenant fairness dev {100 * mt['fairness_max_dev']:.2f}%, "
-      f"{mt['sim_ops_per_sec'] / 1e3:.0f}k sim ops/s")
+# criterion, not hardware-dependent); the driver's simulated-ops/sec,
+# normalized by the host-speed probe, carries the same 20% regression
+# budget as the other perf numbers.
+print(f"bench smoke: multitenant fairness dev {100 * mt['fairness_max_dev']:.2f}%")
 if mt["fairness_max_dev"] > 0.05:
     sys.exit(f"bench smoke FAILED: WRR fairness deviation "
              f"{100 * mt['fairness_max_dev']:.2f}% > 5%")
-if base_mt is None:
-    print("bench smoke: no committed multitenant baseline; perf gate "
-          "skipped -- run scripts/bench.sh --update")
-elif mt["sim_ops_per_sec"] < 0.8 * base_mt["sim_ops_per_sec"]:
-    sys.exit(f"bench smoke FAILED: multitenant {mt['sim_ops_per_sec']:.0f} "
-             f"sim ops/s regressed >20% vs baseline "
-             f"{base_mt['sim_ops_per_sec']:.0f} -- "
-             "if intentional, rerun scripts/bench.sh --update")
+throughput_gate("multitenant", mt, base.get("multitenant"))
 # Trace-replay gate: the >=5M replayed ops/s floor is the subsystem's
 # absolute acceptance criterion; regression vs the committed baseline
 # carries the same 20% budget, and record->replay fidelity is a hard
@@ -212,11 +237,10 @@ elif tr["replay_ops_per_sec"] < 0.8 * base_tr["replay_ops_per_sec"]:
 # Overload gate: the graceful-degradation contract is absolute (the
 # admission controller must hold the protected tenant's p99 within the
 # derived SLO target at 2x saturating load while shedding only the
-# excess); the driver's simulated-ops/sec carries the same 20% budget.
-base_ov = base.get("overload")
+# excess); the driver's probe-normalized simulated-ops/sec carries the
+# same 20% budget.
 print(f"bench smoke: overload slo {'held' if ov['slo_held'] else 'BROKEN'}, "
-      f"shed {100 * ov['shed_rate_at_2x']:.1f}% at 2x, "
-      f"{ov['sim_ops_per_sec'] / 1e3:.0f}k sim ops/s")
+      f"shed {100 * ov['shed_rate_at_2x']:.1f}% at 2x")
 if not ov["slo_held"]:
     sys.exit(f"bench smoke FAILED: protected p99 "
              f"{ov['protected_p99_at_2x_ns'] / 1e3:.0f}us exceeds SLO target "
@@ -225,13 +249,6 @@ if not 0.0 < ov["shed_rate_at_2x"] < 0.8:
     sys.exit(f"bench smoke FAILED: overload shed fraction "
              f"{100 * ov['shed_rate_at_2x']:.1f}% at 2x outside (0%, 80%) -- "
              "the controller must shed the excess, not the stream")
-if base_ov is None:
-    print("bench smoke: no committed overload baseline; perf gate "
-          "skipped -- run scripts/bench.sh --update")
-elif ov["sim_ops_per_sec"] < 0.8 * base_ov["sim_ops_per_sec"]:
-    sys.exit(f"bench smoke FAILED: overload {ov['sim_ops_per_sec']:.0f} "
-             f"sim ops/s regressed >20% vs baseline "
-             f"{base_ov['sim_ops_per_sec']:.0f} -- "
-             "if intentional, rerun scripts/bench.sh --update")
+throughput_gate("overload", ov, base.get("overload"))
 print("bench smoke passed")
 EOF

@@ -78,16 +78,18 @@ stage "seeded fault smoke (audit build)"
 # must produce deterministic reports, non-zero recovery counters (grown
 # bad blocks, remaps, re-programs, host retries), and zero invariant
 # violations. The same binary runs in stage 3; re-running the fault
-# slice here keeps the gate visible when the suite grows.
+# slice here keeps the gate visible when the suite grows. Parameterized
+# cases are named Suite/Param.Case, hence the */ patterns.
 ./build-audit/tests/fault_test \
-  --gtest_filter='FaultDeterminism.*:FaultRecovery.*:FaultFree.*'
+  --gtest_filter='FaultDeterminism.*:*/FaultDeterminismOnBed.*:FaultRecovery.*:FaultFree.*'
 
 stage "crash-sweep smoke (audit build)"
 # Power-loss drill under the shadow auditors: cut the queue at several
 # depths on all three beds, mount, and differential-check the recovered
 # state against the per-key write oracle (no corruption, drained data
 # survives exactly, deterministic recovery counters).
-./build-audit/tests/crash_recovery_test --gtest_filter='CrashSweep*:*/CrashSweep.*:CrashRecovery.*'
+./build-audit/tests/crash_recovery_test \
+  --gtest_filter='CrashSweep*:*/CrashSweep.*:CrashRecovery.*:*/BedScaffold.*'
 
 stage "trace smoke (audit build)"
 # The trace subsystem's fidelity gate under the shadow auditors: a run

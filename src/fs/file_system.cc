@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 namespace kvsim::fs {
 
@@ -23,12 +25,30 @@ std::shared_ptr<Join> make_join(int n, sim::Fn<void(Status)> then) {
   j->then = std::move(then);
   return j;
 }
+const FsConfig& validated(const FsConfig& cfg) {
+  cfg.validate();
+  return cfg;
+}
 }  // namespace
+
+void FsConfig::validate() const {
+  auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("FsConfig: ") + what);
+  };
+  if (block_bytes == 0 || block_bytes % 512 != 0)
+    fail("block_bytes must be a nonzero multiple of 512");
+  if (max_extent_blocks == 0) fail("max_extent_blocks must be nonzero");
+  if (journal_every_ops == 0) fail("journal_every_ops must be nonzero");
+}
 
 FileSystem::FileSystem(sim::EventQueue& eq, blockapi::BlockDevice& dev,
                        const FsConfig& cfg)
-    : eq_(eq), dev_(dev), cfg_(cfg) {
+    : eq_(eq), dev_(dev), cfg_(validated(cfg)) {
   total_blocks_ = dev_.capacity_bytes() / cfg_.block_bytes;
+  if (total_blocks_ < 2)
+    throw std::invalid_argument(
+        "FileSystem: the device holds fewer than two fs blocks (block 0 is "
+        "the journal)");
   // Block 0 is the superblock/journal area.
   journal_block_ = 0;
   free_list_.push_back(Extent{1, total_blocks_ - 1});

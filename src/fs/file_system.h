@@ -34,6 +34,11 @@ struct FsConfig {
   /// Keep a per-append piece ledger so crash recovery can ask which file
   /// ranges actually reached flash (see probe_durable). Off by default.
   bool crash_tracking = false;
+
+  /// Throws std::invalid_argument unless block_bytes is a nonzero
+  /// multiple of the 512 B LBA and max_extent_blocks and
+  /// journal_every_ops are nonzero. FileSystem's constructor calls it.
+  void validate() const;
 };
 
 class FileSystem {

@@ -7,12 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <functional>
-#include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/rng.h"
 #include "common/thread_annotations.h"
@@ -61,6 +58,22 @@ struct RetryPolicy {
   /// fraction of itself, drawn deterministically from the bed's seeded
   /// jitter stream (detail::RetryBudget). 0 = no jitter (legacy-exact).
   double jitter_frac = 0.0;
+
+  /// Throws std::invalid_argument on a backoff_mult below 1 or NaN (1 is
+  /// constant backoff) and a jitter_frac outside [0, 1] or NaN, which
+  /// would cast a negative or non-finite delay to TimeNs, and on a
+  /// negative or non-finite retry_refill_per_sec, which would drain or
+  /// poison the token bucket. Beds call it when they are constructed.
+  void validate() const {
+    auto fail = [](const char* what) {
+      throw std::invalid_argument(std::string("RetryPolicy: ") + what);
+    };
+    if (!(backoff_mult >= 1.0)) fail("backoff_mult must be at least 1");
+    if (!(jitter_frac >= 0.0 && jitter_frac <= 1.0))
+      fail("jitter_frac must lie in [0, 1]");
+    if (!(retry_refill_per_sec >= 0.0 && std::isfinite(retry_refill_per_sec)))
+      fail("retry_refill_per_sec must be finite and non-negative");
+  }
 
   [[nodiscard]] bool should_retry(Status s, u32 attempt) const {
     if (attempt >= max_retries) return false;
@@ -120,46 +133,6 @@ struct TenantCtx {
   u32 queue = 0;  ///< NVMe submission queue
 };
 
-/// Keyspace isolation for beds without device-level namespaces (LSM,
-/// HashKV): a 2-byte namespace tag prepended to the key. Workload keys
-/// start with 'k', tags with 'A'-'P', so tagged keyspaces are disjoint
-/// from each other and from the untagged default namespace.
-///
-/// The tagged key is built in place (on the heap only past kInlineBytes)
-/// and handed to the store as a view: every store copies a key it must
-/// keep, so an op costs no key string of its own. Namespace 0 views the
-/// caller's key unchanged. Not copyable: the view may point into `buf_`.
-class TenantKey {
- public:
-  static constexpr size_t kInlineBytes = 64;
-
-  TenantKey(u8 nsid, std::string_view key) {
-    if (nsid == 0) {
-      view_ = key;
-      return;
-    }
-    const size_t n = key.size() + 2;
-    char* p = buf_;
-    if (n > kInlineBytes) {
-      heap_.resize(n);
-      p = heap_.data();
-    }
-    p[0] = (char)('A' + (nsid >> 4));
-    p[1] = (char)('A' + (nsid & 0xf));
-    std::memcpy(p + 2, key.data(), key.size());
-    view_ = std::string_view(p, n);
-  }
-  TenantKey(const TenantKey&) = delete;
-  TenantKey& operator=(const TenantKey&) = delete;
-
-  [[nodiscard]] std::string_view view() const { return view_; }
-
- private:
-  char buf_[kInlineBytes] = {};
-  std::string heap_;
-  std::string_view view_;
-};
-
 class KvStack {
  public:
   KVSIM_THREAD_CONFINED;
@@ -169,26 +142,25 @@ class KvStack {
 
   virtual ~KvStack() = default;
 
-  virtual void store(std::string_view key, ValueDesc v, StoreDone done) = 0;
-  virtual void retrieve(std::string_view key, RetrieveDone done) = 0;
-  virtual void remove(std::string_view key, RemoveDone done) = 0;
-
-  // --- Tenant-aware entry points ---------------------------------------
+  // --- Host ops ---------------------------------------------------------
   /// Issue the op on behalf of tenant `t`: the op addresses namespace
-  /// t.nsid's keyspace and rides submission queue t.queue. Beds that
-  /// model neither fall back to the plain path (ctx ignored); the
-  /// default ctx always takes the exact legacy path.
-  virtual void store_as(const TenantCtx& /*t*/, std::string_view key,
-                        ValueDesc v, StoreDone done) {
-    store(key, v, std::move(done));
+  /// t.nsid's keyspace and rides submission queue t.queue. Stacks that
+  /// model neither ignore the ctx.
+  virtual void store_as(const TenantCtx& t, std::string_view key,
+                        ValueDesc v, StoreDone done) = 0;
+  virtual void retrieve_as(const TenantCtx& t, std::string_view key,
+                           RetrieveDone done) = 0;
+  virtual void remove_as(const TenantCtx& t, std::string_view key,
+                         RemoveDone done) = 0;
+  /// The default tenant's op (namespace 0, queue 0).
+  virtual void store(std::string_view key, ValueDesc v, StoreDone done) {
+    store_as(TenantCtx{}, key, v, std::move(done));
   }
-  virtual void retrieve_as(const TenantCtx& /*t*/, std::string_view key,
-                           RetrieveDone done) {
-    retrieve(key, std::move(done));
+  virtual void retrieve(std::string_view key, RetrieveDone done) {
+    retrieve_as(TenantCtx{}, key, std::move(done));
   }
-  virtual void remove_as(const TenantCtx& /*t*/, std::string_view key,
-                         RemoveDone done) {
-    remove(key, std::move(done));
+  virtual void remove(std::string_view key, RemoveDone done) {
+    remove_as(TenantCtx{}, key, std::move(done));
   }
   /// The bed's NVMe link (per-queue stats for MixResult), when simulated.
   virtual const nvme::NvmeLink* nvme_link() const { return nullptr; }
@@ -247,58 +219,10 @@ class KvStack {
 
 namespace detail {
 
-/// Per-bed ledger of host ops in flight: an op counts from issue until
-/// its *final* completion (a backoff window between retry attempts still
-/// counts), and drain waiters park until the count returns to zero. This
-/// closes the drain-vs-retry race where a device-level flush reported
-/// quiescence while a host backoff timer still held an un-resubmitted op.
-class InflightOps {
- public:
-  KVSIM_THREAD_CONFINED;
-  /// Wrap a completion callback; the op is in flight until it runs.
-  template <typename Done>
-  auto track(Done done) {
-    ++inflight_;
-    return [this, done = std::move(done)](auto... args) mutable {
-      done(std::move(args)...);
-      finish();
-    };
-  }
-
-  /// Run `idle` once no tracked op is in flight (immediately if idle).
-  void when_idle(sim::Task idle) {
-    if (inflight_ == 0) {
-      idle();
-      return;
-    }
-    waiters_.push_back(std::move(idle));
-  }
-
-  [[nodiscard]] u64 count() const { return inflight_; }
-
-  /// Power-loss cut: forget in-flight ops (their completions were
-  /// discarded with the event queue) and drop parked drain waiters.
-  void reset() {
-    inflight_ = 0;
-    waiters_.clear();
-  }
-
- private:
-  void finish() {
-    if (--inflight_ != 0) return;
-    auto ws = std::move(waiters_);
-    waiters_.clear();
-    for (auto& w : ws) w();
-  }
-
-  u64 inflight_ = 0;
-  std::vector<sim::Task> waiters_;
-};
-
 /// Per-bed retry-budget runtime: the token bucket RetryPolicy configures
 /// plus the seeded jitter stream. One instance lives next to the bed's
-/// RetryPolicy and is shared by every run_with_retry chain the bed
-/// issues — which is the point: the bucket caps *aggregate* re-drives, so
+/// RetryPolicy and is shared by every re-drive the bed schedules —
+/// which is the point: the bucket caps *aggregate* re-drives, so
 /// a retry storm under overload starves itself instead of the device.
 /// With the legacy policy (budget 0, jitter 0) every call degenerates to
 /// "always allow, no jitter" and the timing is byte-identical.
@@ -355,37 +279,6 @@ class RetryBudget {
   u64 denied_ = 0;
   Rng rng_;
 };
-
-/// Issues `issue(attempt, done)` and re-drives it per `policy` when the
-/// completion status is retryable. `retries` is bumped once per re-drive.
-/// Every re-drive spends one token from `budget` (a dry bucket delivers
-/// the failure instead) and its backoff is jitter-stretched by the
-/// budget's seeded stream. The attempt closure self-references through a
-/// weak_ptr: the pending device callback holds the strong reference, so
-/// an abandoned chain frees itself.
-template <typename Issue, typename Done>
-void run_with_retry(sim::EventQueue& eq, const RetryPolicy& policy,
-                    u64& retries, RetryBudget& budget, Issue issue,
-                    Done done) {
-  auto attempt = std::make_shared<std::function<void(u32)>>();
-  std::weak_ptr<std::function<void(u32)>> weak = attempt;
-  auto state = std::make_shared<Done>(std::move(done));
-  *attempt = [&eq, &policy, &retries, &budget, weak, state,
-              issue = std::move(issue)](u32 n) {
-    auto self = weak.lock();
-    issue(n, [&eq, &policy, &retries, &budget, self, state, n](
-                 Status s, auto... rest) {
-      if (policy.should_retry(s, n) && budget.try_consume(eq.now())) {
-        ++retries;
-        eq.schedule_after(budget.jittered(policy.backoff_for(n + 1)),
-                          [self, n] { (*self)(n + 1); });
-        return;
-      }
-      (*state)(s, rest...);
-    });
-  };
-  (*attempt)(0);
-}
 
 }  // namespace detail
 

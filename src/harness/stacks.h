@@ -5,23 +5,28 @@
 //   LsmBed     — mini-RocksDB -> ext4-like fs -> block-SSD   (RDB)
 //   HashKvBed  — mini-Aerospike -> direct I/O -> block-SSD   (AS)
 //
-// Each bed owns a private event queue, flash substrate, and device, so
-// beds are independent "machines" (the paper used two identical servers).
-// BlockDirectBed exposes the raw block device for the direct-I/O
-// experiments (Figs. 3-5).
+// Each bed owns a private Drive (event queue, flash substrate, FTL, NVMe
+// link and device API), so beds are independent "machines" (the paper
+// used two identical servers). BlockDirectBed is a bare block Drive for
+// the direct-I/O experiments (Figs. 3-5).
 //
-// When a fault plan is active, beds wrap each command in the config's
-// RetryPolicy: retryable device errors (media/busy/timeout) are re-driven
-// after backoff, and the re-drive count is reported via host_retries().
-// With faults off the wrapper is bypassed entirely, so fault-free runs
-// execute the exact pre-fault command path.
+// Bed<Ftl, Dev> is the scaffold the three share. Every host op, with or
+// without a fault plan, lives in one pooled HostOp record from issue to
+// final completion; the config's RetryPolicy decides whether a failed
+// attempt is re-driven after a backoff (retryable errors only come from
+// injected faults, so a fault-free run never re-drives). A bed supplies
+// its store path (issue), the part of drain and crash recovery above the
+// drive, and its name, CPU and space accounting.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "blockapi/block_device.h"
+#include "common/slot_pool.h"
 #include "fs/file_system.h"
 #include "harness/stack_iface.h"
 #include "hashkv/hash_store.h"
@@ -31,6 +36,271 @@
 #include "common/thread_annotations.h"
 
 namespace kvsim::harness {
+
+/// One simulated drive, built in order: event queue, flash substrate,
+/// FTL, NVMe link, device API.
+template <typename Ftl, typename Dev>
+class Drive {
+ public:
+  KVSIM_THREAD_CONFINED;
+  template <typename FtlConfig, typename ApiConfig>
+  Drive(const ssd::SsdConfig& dev, const FtlConfig& ftl,
+        const nvme::NvmeConfig& nvme, const ApiConfig& api)
+      : flash_(std::make_unique<flash::FlashController>(eq_, dev.geometry,
+                                                        dev.timing)),
+        ftl_(std::make_unique<Ftl>(eq_, *flash_, dev, ftl)),
+        link_(std::make_unique<nvme::NvmeLink>(eq_, nvme)),
+        dev_(std::make_unique<Dev>(eq_, *link_, *ftl_, api)) {}
+  Drive(const Drive&) = delete;  // every layer holds the queue's address
+  Drive& operator=(const Drive&) = delete;
+
+  sim::EventQueue& eq() { return eq_; }
+  Dev& device() { return *dev_; }
+  Ftl& ftl() { return *ftl_; }
+  flash::FlashController& flash() { return *flash_; }
+  [[nodiscard]] const Dev& device() const { return *dev_; }
+  [[nodiscard]] const Ftl& ftl() const { return *ftl_; }
+  [[nodiscard]] const flash::FlashController& flash() const {
+    return *flash_;
+  }
+  [[nodiscard]] const nvme::NvmeLink& link() const { return *link_; }
+
+ protected:
+  /// Power loss at `cut`: the link and the device API drop every command
+  /// they hold. The FTL's mount is the bed's to run (its counters differ).
+  void power_cut(TimeNs cut) {
+    link_->power_cycle(cut);
+    if constexpr (requires { dev_->power_cycle(); }) dev_->power_cycle();
+  }
+
+ private:
+  sim::EventQueue eq_;
+  std::unique_ptr<flash::FlashController> flash_;
+  std::unique_ptr<Ftl> ftl_;
+  std::unique_ptr<nvme::NvmeLink> link_;
+  std::unique_ptr<Dev> dev_;
+};
+
+/// A bed's state for one host op, from issue to final completion: the
+/// caller's callback, the key as the store sees it, the value, the tenant
+/// and the attempt number. The key sits in an inline buffer (on the heap
+/// only past kInlineKeyBytes); a recycled record keeps the heap buffer.
+struct HostOp {
+  enum Kind : u8 { kStore, kRetrieve, kRemove };
+  static constexpr size_t kInlineKeyBytes = 46;
+
+  KvStack::StoreDone done;    ///< store, remove
+  KvStack::RetrieveDone got;  ///< retrieve
+  ValueDesc value;
+  TenantCtx ctx;
+  u32 attempt = 0;
+  u32 key_bytes = 0;
+  Kind kind = kStore;
+  char key_inline[kInlineKeyBytes] = {};
+  std::string key_heap;
+
+  [[nodiscard]] std::string_view key() const {
+    return {key_bytes <= kInlineKeyBytes ? key_inline : key_heap.data(),
+            key_bytes};
+  }
+
+  /// Copy `key` in. A nonzero `tag_nsid` prefixes the 2-byte namespace
+  /// tag that isolates keyspaces on beds without device namespaces:
+  /// workload keys start with 'k' and tags with 'A'-'P', so tagged
+  /// keyspaces are disjoint from each other and from namespace 0.
+  void set_key(u8 tag_nsid, std::string_view key) {
+    const size_t tag = tag_nsid != 0 ? 2 : 0;
+    key_bytes = (u32)(tag + key.size());
+    char* p = key_inline;
+    if (key_bytes > kInlineKeyBytes) {
+      key_heap.resize(key_bytes);
+      p = key_heap.data();
+    }
+    if (tag != 0) {
+      p[0] = (char)('A' + (tag_nsid >> 4));
+      p[1] = (char)('A' + (tag_nsid & 0xf));
+    }
+    key.copy(p + tag, key.size());
+  }
+};
+
+/// The scaffold every KvStack bed shares: the drive, the host-op pool,
+/// the retry path, the drain gate, the power cut and the accessors.
+///
+/// A completion either re-drives the op (RetryPolicy says so and the
+/// budget has a token) or runs the caller's callback and then releases
+/// the record; drain waiters run once no op is live. A callback may issue
+/// new ops and grow the pool, and a store may complete inside the call
+/// that issued to it, so a HostOp& is never held across a call out.
+template <typename Ftl, typename Dev>
+class Bed : public KvStack, public Drive<Ftl, Dev> {
+ public:
+  KVSIM_THREAD_CONFINED;
+  using Drive<Ftl, Dev>::device;
+  using Drive<Ftl, Dev>::ftl;
+  using Drive<Ftl, Dev>::flash;
+
+  void store_as(const TenantCtx& t, std::string_view key, ValueDesc v,
+                StoreDone done) override {
+    const u32 slot = start(HostOp::kStore, t, key, v);
+    ops_[slot].done = std::move(done);
+    issue(slot);
+  }
+  void retrieve_as(const TenantCtx& t, std::string_view key,
+                   RetrieveDone done) override {
+    const u32 slot = start(HostOp::kRetrieve, t, key, ValueDesc{});
+    ops_[slot].got = std::move(done);
+    issue(slot);
+  }
+  void remove_as(const TenantCtx& t, std::string_view key,
+                 RemoveDone done) override {
+    const u32 slot = start(HostOp::kRemove, t, key, ValueDesc{});
+    ops_[slot].done = std::move(done);
+    issue(slot);
+  }
+
+  /// An op parked in a retry backoff window is invisible to the layers'
+  /// own drains, so the bed's quiesce waits until no host op is live.
+  void drain(sim::Task done) override {
+    if (ops_.usage().live == 0) {
+      quiesce(std::move(done));
+      return;
+    }
+    waiters_.push_back(std::move(done));
+  }
+
+  sim::EventQueue& eq() override { return Drive<Ftl, Dev>::eq(); }
+  [[nodiscard]] const nvme::NvmeLink* nvme_link() const override {
+    return &this->link();
+  }
+  [[nodiscard]] const ssd::FtlStats* ftl_stats() const override {
+    return &ftl().stats();
+  }
+  [[nodiscard]] const flash::FlashController* flash_ctrl() const override {
+    return &flash();
+  }
+  [[nodiscard]] u64 buffer_stall_events() const override {
+    return ftl().buffer_stalls();
+  }
+
+  void apply_fault_plan(const ssd::FaultPlan& plan) override {
+    ftl().set_fault_plan(plan);
+    // The plan's seed re-derives the retry budget's bucket and jitter
+    // stream, so a fault run is reproducible from one knob.
+    budget_.configure(retry_, plan.seed);
+  }
+  [[nodiscard]] const ssd::FaultInjector* fault_injector() const override {
+    return ftl().fault_injector();
+  }
+  [[nodiscard]] u64 host_retries() const override { return host_retries_; }
+
+  [[nodiscard]] bool crash_supported() const override { return crash_on_; }
+  CrashOutcome simulate_crash() override {
+    CrashOutcome out;
+    if (!crash_on_) return out;
+    sim::EventQueue& q = eq();
+    const TimeNs cut = q.now();
+    out.crash_time = cut;
+    out.discarded_events = q.discard_pending();
+    ops_.clear();  // the callbacks die unrun with their ops
+    waiters_.clear();
+    this->power_cut(cut);
+    remount(out);
+    out.recovery_ns = q.now() - cut;
+    return out;
+  }
+  [[nodiscard]] u64 inflight_host_ops() const override {
+    return ops_.usage().live;
+  }
+
+ protected:
+  /// `host_tracked`: the layers above the drive keep crash ledgers.
+  /// Crash support is all-or-nothing: every layer or `crash_tracking`.
+  template <typename Config>
+  explicit Bed(const Config& cfg, bool host_tracked = true)
+      : Drive<Ftl, Dev>(cfg.dev, tracked(cfg.ftl, cfg.crash_tracking),
+                        cfg.nvme, cfg.api),
+        retry_(cfg.retry),
+        crash_on_(cfg.crash_tracking ||
+                  (cfg.ftl.crash_tracking && host_tracked)) {
+    retry_.validate();
+    budget_.configure(retry_, ssd::FaultPlan{}.seed);
+  }
+
+  /// `c` with crash tracking forced on when `on` (the master switch).
+  template <typename Config>
+  static Config tracked(Config c, bool on) {
+    c.crash_tracking = c.crash_tracking || on;
+    return c;
+  }
+
+  /// Issue (or re-drive) the op in `slot` on the bed's store path, with
+  /// on_status(slot) / on_value(slot) as the store's completion.
+  virtual void issue(u32 slot) = 0;
+  /// Drain everything above the host-op gate; `done` runs when quiet.
+  virtual void quiesce(sim::Task done) = 0;
+  /// After a power cut: mount the FTL and the host layers above it, run
+  /// the bed's clock until recovery ends, and fill in their counters.
+  virtual void remount(CrashOutcome& out) = 0;
+
+  [[nodiscard]] const HostOp& host_op(u32 slot) const { return ops_[slot]; }
+  auto on_status(u32 slot) {
+    return [this, slot](Status s) { complete(slot, s, ValueDesc{}); };
+  }
+  auto on_value(u32 slot) {
+    return [this, slot](Status s, ValueDesc v) { complete(slot, s, v); };
+  }
+
+ private:
+  /// Block beds isolate tenants by tagging keys; the KV device carries
+  /// the namespace in the command instead.
+  static constexpr bool kTagKeys = !std::is_same_v<Dev, kvapi::KvsDevice>;
+
+  u32 start(HostOp::Kind kind, const TenantCtx& t, std::string_view key,
+            ValueDesc v) {
+    const u32 slot = ops_.acquire();
+    HostOp& op = ops_[slot];
+    op.kind = kind;
+    op.ctx = t;
+    op.value = v;
+    op.attempt = 0;
+    op.set_key(kTagKeys ? t.nsid : 0, key);
+    return slot;
+  }
+
+  void complete(u32 slot, Status s, ValueDesc v) {
+    HostOp& op = ops_[slot];
+    if (retry_.should_retry(s, op.attempt) &&
+        budget_.try_consume(eq().now())) {
+      ++host_retries_;
+      ++op.attempt;
+      eq().schedule_after(budget_.jittered(retry_.backoff_for(op.attempt)),
+                          [this, slot] { issue(slot); });
+      return;
+    }
+    // The op stays live while its callback runs; the callback is moved
+    // out first because it may issue ops that grow the pool.
+    if (op.kind == HostOp::kRetrieve) {
+      RetrieveDone got = std::move(op.got);
+      got(s, v);
+    } else {
+      StoreDone done = std::move(op.done);
+      done(s);
+    }
+    ops_.release(slot);
+    if (ops_.usage().live != 0 || waiters_.empty()) return;
+    auto waiters = std::move(waiters_);
+    waiters_.clear();
+    for (sim::Task& w : waiters) quiesce(std::move(w));
+  }
+
+  RetryPolicy retry_;
+  detail::RetryBudget budget_;
+  SlotPool<HostOp> ops_;
+  std::vector<sim::Task> waiters_;
+  u64 host_retries_ = 0;
+  const bool crash_on_;
+};
 
 struct KvssdBedConfig {
   ssd::SsdConfig dev = ssd::SsdConfig::standard_device();
@@ -43,129 +313,28 @@ struct KvssdBedConfig {
   bool crash_tracking = false;
 };
 
-class KvssdBed final : public KvStack {
+/// KV-SSD tenancy is native: the device command carries the namespace
+/// (an isolated keyspace in the KV-FTL) and posts to the tenant's SQ.
+class KvssdBed final : public Bed<kvftl::KvFtl, kvapi::KvsDevice> {
  public:
   KVSIM_THREAD_CONFINED;
-  explicit KvssdBed(const KvssdBedConfig& cfg = {});
+  explicit KvssdBed(const KvssdBedConfig& cfg = {}) : Bed(cfg) {}
 
-  void store(std::string_view key, ValueDesc v, StoreDone done) override {
-    store_as(TenantCtx{}, key, v, std::move(done));
+  [[nodiscard]] u64 host_cpu_ns() const override {
+    return device().host_cpu_ns();
   }
-  void retrieve(std::string_view key, RetrieveDone done) override {
-    retrieve_as(TenantCtx{}, key, std::move(done));
-  }
-  void remove(std::string_view key, RemoveDone done) override {
-    remove_as(TenantCtx{}, key, std::move(done));
-  }
-  // KV-SSD tenancy is native: the device command carries the namespace
-  // (isolated keyspace in the KV-FTL) and posts to the tenant's SQ. The
-  // default ctx is the exact pre-tenancy path.
-  void store_as(const TenantCtx& t, std::string_view key, ValueDesc v,
-                StoreDone done) override {
-    auto tracked = inflight_.track(std::move(done));
-    if (!faults_on_) {
-      dev_->store(key, v, std::move(tracked), /*stream=*/0, t.nsid, t.queue);
-      return;
-    }
-    detail::run_with_retry(
-        eq_, retry_, host_retries_, retry_budget_,
-        [this, key = std::string(key), v, t](u32 attempt, auto cb) {
-          // Re-drives carry the attempt number as the stream hint so the
-          // FTL may steer the retry to a different write point.
-          dev_->store(key, v, std::move(cb), /*stream=*/(u8)attempt, t.nsid,
-                      t.queue);
-        },
-        std::move(tracked));
-  }
-  void retrieve_as(const TenantCtx& t, std::string_view key,
-                   RetrieveDone done) override {
-    auto tracked = inflight_.track(std::move(done));
-    if (!faults_on_) {
-      dev_->retrieve(key, std::move(tracked), t.nsid, t.queue);
-      return;
-    }
-    detail::run_with_retry(
-        eq_, retry_, host_retries_, retry_budget_,
-        [this, key = std::string(key), t](u32, auto cb) {
-          dev_->retrieve(key, std::move(cb), t.nsid, t.queue);
-        },
-        std::move(tracked));
-  }
-  void remove_as(const TenantCtx& t, std::string_view key,
-                 RemoveDone done) override {
-    auto tracked = inflight_.track(std::move(done));
-    if (!faults_on_) {
-      dev_->remove(key, std::move(tracked), t.nsid, t.queue);
-      return;
-    }
-    detail::run_with_retry(
-        eq_, retry_, host_retries_, retry_budget_,
-        [this, key = std::string(key), t](u32, auto cb) {
-          dev_->remove(key, std::move(cb), t.nsid, t.queue);
-        },
-        std::move(tracked));
-  }
-  [[nodiscard]] const nvme::NvmeLink* nvme_link() const override {
-    return link_.get();
-  }
-  void drain(sim::Task done) override {
-    // An op parked in a retry-backoff window is invisible to the device
-    // flush; wait out the host side before asking the device to quiesce.
-    inflight_.when_idle([this, done = std::move(done)]() mutable {
-      dev_->flush(std::move(done));
-    });
-  }
-  [[nodiscard]] u64 host_cpu_ns() const override { return dev_->host_cpu_ns(); }
   [[nodiscard]] u64 device_bytes_used() const override {
-    return ftl_->device_bytes_used();
+    return ftl().device_bytes_used();
   }
   [[nodiscard]] u64 app_bytes_live() const override {
-    return ftl_->app_bytes_live();
+    return ftl().app_bytes_live();
   }
   [[nodiscard]] const char* name() const override { return "KV-SSD"; }
 
-  sim::EventQueue& eq() override { return eq_; }
-  kvapi::KvsDevice& device() { return *dev_; }
-  kvftl::KvFtl& ftl() { return *ftl_; }
-  [[nodiscard]] const ssd::FtlStats* ftl_stats() const override {
-    return &ftl_->stats();
-  }
-  flash::FlashController& flash() { return *flash_; }
-  [[nodiscard]] const flash::FlashController* flash_ctrl() const override {
-    return flash_.get();
-  }
-  [[nodiscard]] u64 buffer_stall_events() const override {
-    return ftl_->buffer_stalls();
-  }
-  void apply_fault_plan(const ssd::FaultPlan& plan) override {
-    ftl_->set_fault_plan(plan);
-    faults_on_ = plan.enabled;
-    // Re-derive the retry budget's bucket and jitter stream from the
-    // plan's seed so fault runs are reproducible from one knob.
-    retry_budget_.configure(retry_, plan.seed);
-  }
-  [[nodiscard]] const ssd::FaultInjector* fault_injector() const override {
-    return ftl_->fault_injector();
-  }
-  [[nodiscard]] u64 host_retries() const override { return host_retries_; }
-  [[nodiscard]] bool crash_supported() const override { return crash_on_; }
-  CrashOutcome simulate_crash() override;
-  [[nodiscard]] u64 inflight_host_ops() const override {
-    return inflight_.count();
-  }
-
  private:
-  sim::EventQueue eq_;
-  std::unique_ptr<flash::FlashController> flash_;
-  std::unique_ptr<kvftl::KvFtl> ftl_;
-  std::unique_ptr<nvme::NvmeLink> link_;
-  std::unique_ptr<kvapi::KvsDevice> dev_;
-  RetryPolicy retry_;
-  detail::RetryBudget retry_budget_;
-  bool faults_on_ = false;
-  bool crash_on_ = false;
-  u64 host_retries_ = 0;
-  detail::InflightOps inflight_;
+  void issue(u32 slot) override;
+  void quiesce(sim::Task done) override { device().flush(std::move(done)); }
+  void remount(CrashOutcome& out) override;
 };
 
 struct BlockBedConfig {
@@ -176,22 +345,12 @@ struct BlockBedConfig {
 };
 
 /// Raw block device bed (direct I/O experiments).
-class BlockDirectBed {
+class BlockDirectBed final
+    : public Drive<blockftl::BlockFtl, blockapi::BlockDevice> {
  public:
   KVSIM_THREAD_CONFINED;
-  explicit BlockDirectBed(const BlockBedConfig& cfg = {});
-
-  sim::EventQueue& eq() { return eq_; }
-  blockapi::BlockDevice& device() { return *dev_; }
-  blockftl::BlockFtl& ftl() { return *ftl_; }
-  flash::FlashController& flash() { return *flash_; }
-
- private:
-  sim::EventQueue eq_;
-  std::unique_ptr<flash::FlashController> flash_;
-  std::unique_ptr<blockftl::BlockFtl> ftl_;
-  std::unique_ptr<nvme::NvmeLink> link_;
-  std::unique_ptr<blockapi::BlockDevice> dev_;
+  explicit BlockDirectBed(const BlockBedConfig& cfg = {})
+      : Drive(cfg.dev, cfg.ftl, cfg.nvme, cfg.api) {}
 };
 
 struct LsmBedConfig {
@@ -207,81 +366,19 @@ struct LsmBedConfig {
   bool crash_tracking = false;
 };
 
-class LsmBed final : public KvStack {
+/// No device namespaces on the block path: keyspaces are tagged keys, and
+/// the tenant's queue is a sticky hint on the block device, so I/O the
+/// store issues while serving an op (flushes and compactions it triggers
+/// included) rides the tenant's SQ.
+class LsmBed final : public Bed<blockftl::BlockFtl, blockapi::BlockDevice> {
  public:
   KVSIM_THREAD_CONFINED;
   explicit LsmBed(const LsmBedConfig& cfg = {});
 
-  void store(std::string_view key, ValueDesc v, StoreDone done) override {
-    store_as(TenantCtx{}, key, v, std::move(done));
-  }
-  void retrieve(std::string_view key, RetrieveDone done) override {
-    retrieve_as(TenantCtx{}, key, std::move(done));
-  }
-  void remove(std::string_view key, RemoveDone done) override {
-    remove_as(TenantCtx{}, key, std::move(done));
-  }
-  // No device namespaces on the block path: keyspace isolation is a
-  // host-side key prefix (TenantKey), and the tenant's queue is a sticky
-  // hint on the block device — I/O the store issues while serving this op
-  // (including flushes/compaction it triggers) rides the tenant's SQ.
-  void store_as(const TenantCtx& t, std::string_view key, ValueDesc v,
-                StoreDone done) override {
-    auto tracked = inflight_.track(std::move(done));
-    dev_->set_queue(t.queue);
-    const TenantKey tk(t.nsid, key);
-    if (!faults_on_) {
-      store_->put(tk.view(), v, std::move(tracked));
-      return;
-    }
-    detail::run_with_retry(
-        eq_, retry_, host_retries_, retry_budget_,
-        [this, k = std::string(tk.view()), v](u32, auto cb) {
-          store_->put(k, v, std::move(cb));
-        },
-        std::move(tracked));
-  }
-  void retrieve_as(const TenantCtx& t, std::string_view key,
-                   RetrieveDone done) override {
-    auto tracked = inflight_.track(std::move(done));
-    dev_->set_queue(t.queue);
-    const TenantKey tk(t.nsid, key);
-    if (!faults_on_) {
-      store_->get(tk.view(), std::move(tracked), t.queue);
-      return;
-    }
-    detail::run_with_retry(
-        eq_, retry_, host_retries_, retry_budget_,
-        [this, k = std::string(tk.view()), q = t.queue](u32, auto cb) {
-          store_->get(k, std::move(cb), q);
-        },
-        std::move(tracked));
-  }
-  void remove_as(const TenantCtx& t, std::string_view key,
-                 RemoveDone done) override {
-    auto tracked = inflight_.track(std::move(done));
-    dev_->set_queue(t.queue);
-    const TenantKey tk(t.nsid, key);
-    if (!faults_on_) {
-      store_->del(tk.view(), std::move(tracked));
-      return;
-    }
-    detail::run_with_retry(
-        eq_, retry_, host_retries_, retry_budget_,
-        [this, k = std::string(tk.view())](u32, auto cb) {
-          store_->del(k, std::move(cb));
-        },
-        std::move(tracked));
-  }
-  [[nodiscard]] const nvme::NvmeLink* nvme_link() const override {
-    return link_.get();
-  }
-  void drain(sim::Task done) override;
-  [[nodiscard]] u64 host_cpu_ns() const override {
-    return store_->host_cpu_ns() + fs_->host_cpu_ns() + dev_->host_cpu_ns();
-  }
+  using KvStack::store;
+  [[nodiscard]] u64 host_cpu_ns() const override;
   [[nodiscard]] u64 device_bytes_used() const override {
-    return fs_->used_bytes();
+    return fs_.used_bytes();
   }
   [[nodiscard]] u64 app_bytes_live() const override { return app_bytes_; }
   void add_app_bytes(i64 delta) override {
@@ -291,52 +388,17 @@ class LsmBed final : public KvStack {
     return "RocksDB/ext4/block-SSD";
   }
 
-  sim::EventQueue& eq() override { return eq_; }
-  lsm::LsmStore& store() { return *store_; }
-  fs::FileSystem& fs() { return *fs_; }
-  blockapi::BlockDevice& device() { return *dev_; }
-  blockftl::BlockFtl& ftl() { return *ftl_; }
-  [[nodiscard]] const ssd::FtlStats* ftl_stats() const override {
-    return &ftl_->stats();
-  }
-  [[nodiscard]] const flash::FlashController* flash_ctrl() const override {
-    return flash_.get();
-  }
-  [[nodiscard]] u64 buffer_stall_events() const override {
-    return ftl_->buffer_stalls();
-  }
-  void apply_fault_plan(const ssd::FaultPlan& plan) override {
-    ftl_->set_fault_plan(plan);
-    faults_on_ = plan.enabled;
-    // Re-derive the retry budget's bucket and jitter stream from the
-    // plan's seed so fault runs are reproducible from one knob.
-    retry_budget_.configure(retry_, plan.seed);
-  }
-  [[nodiscard]] const ssd::FaultInjector* fault_injector() const override {
-    return ftl_->fault_injector();
-  }
-  [[nodiscard]] u64 host_retries() const override { return host_retries_; }
-  [[nodiscard]] bool crash_supported() const override { return crash_on_; }
-  CrashOutcome simulate_crash() override;
-  [[nodiscard]] u64 inflight_host_ops() const override {
-    return inflight_.count();
-  }
+  lsm::LsmStore& store() { return store_; }
+  fs::FileSystem& fs() { return fs_; }
 
  private:
-  sim::EventQueue eq_;
-  std::unique_ptr<flash::FlashController> flash_;
-  std::unique_ptr<blockftl::BlockFtl> ftl_;
-  std::unique_ptr<nvme::NvmeLink> link_;
-  std::unique_ptr<blockapi::BlockDevice> dev_;
-  std::unique_ptr<fs::FileSystem> fs_;
-  std::unique_ptr<lsm::LsmStore> store_;
+  void issue(u32 slot) override;
+  void quiesce(sim::Task done) override;
+  void remount(CrashOutcome& out) override;
+
+  fs::FileSystem fs_;
+  lsm::LsmStore store_;
   u64 app_bytes_ = 0;
-  RetryPolicy retry_;
-  detail::RetryBudget retry_budget_;
-  bool faults_on_ = false;
-  bool crash_on_ = false;
-  u64 host_retries_ = 0;
-  detail::InflightOps inflight_;
 };
 
 struct HashKvBedConfig {
@@ -351,136 +413,32 @@ struct HashKvBedConfig {
   bool crash_tracking = false;
 };
 
-class HashKvBed final : public KvStack {
+/// Same host-side tenancy as LsmBed, over direct I/O.
+class HashKvBed final : public Bed<blockftl::BlockFtl, blockapi::BlockDevice> {
  public:
   KVSIM_THREAD_CONFINED;
   explicit HashKvBed(const HashKvBedConfig& cfg = {});
 
-  void store(std::string_view key, ValueDesc v, StoreDone done) override {
-    store_as(TenantCtx{}, key, v, std::move(done));
-  }
-  void retrieve(std::string_view key, RetrieveDone done) override {
-    retrieve_as(TenantCtx{}, key, std::move(done));
-  }
-  void remove(std::string_view key, RemoveDone done) override {
-    remove_as(TenantCtx{}, key, std::move(done));
-  }
-  // Same host-side tenancy as LsmBed: key-prefix keyspaces plus a sticky
-  // queue hint on the direct-I/O block device.
-  void store_as(const TenantCtx& t, std::string_view key, ValueDesc v,
-                StoreDone done) override {
-    auto tracked = inflight_.track(std::move(done));
-    dev_->set_queue(t.queue);
-    const TenantKey tk(t.nsid, key);
-    if (!faults_on_) {
-      store_->put(tk.view(), v, std::move(tracked));
-      return;
-    }
-    detail::run_with_retry(
-        eq_, retry_, host_retries_, retry_budget_,
-        [this, k = std::string(tk.view()), v](u32, auto cb) {
-          store_->put(k, v, std::move(cb));
-        },
-        std::move(tracked));
-  }
-  void retrieve_as(const TenantCtx& t, std::string_view key,
-                   RetrieveDone done) override {
-    auto tracked = inflight_.track(std::move(done));
-    dev_->set_queue(t.queue);
-    const TenantKey tk(t.nsid, key);
-    if (!faults_on_) {
-      store_->get(tk.view(), std::move(tracked));
-      return;
-    }
-    detail::run_with_retry(
-        eq_, retry_, host_retries_, retry_budget_,
-        [this, k = std::string(tk.view())](u32, auto cb) {
-          store_->get(k, std::move(cb));
-        },
-        std::move(tracked));
-  }
-  void remove_as(const TenantCtx& t, std::string_view key,
-                 RemoveDone done) override {
-    auto tracked = inflight_.track(std::move(done));
-    dev_->set_queue(t.queue);
-    const TenantKey tk(t.nsid, key);
-    if (!faults_on_) {
-      store_->del(tk.view(), std::move(tracked));
-      return;
-    }
-    detail::run_with_retry(
-        eq_, retry_, host_retries_, retry_budget_,
-        [this, k = std::string(tk.view())](u32, auto cb) {
-          store_->del(k, std::move(cb));
-        },
-        std::move(tracked));
-  }
-  [[nodiscard]] const nvme::NvmeLink* nvme_link() const override {
-    return link_.get();
-  }
-  void drain(sim::Task done) override {
-    // Same drain-vs-retry gate as the other beds: a backoff timer can
-    // hold an op the store has never seen (or will see again).
-    inflight_.when_idle([this, done = std::move(done)]() mutable {
-      store_->drain(std::move(done));
-    });
-  }
-  [[nodiscard]] u64 host_cpu_ns() const override {
-    return store_->host_cpu_ns() + dev_->host_cpu_ns();
-  }
+  using KvStack::store;
+  [[nodiscard]] u64 host_cpu_ns() const override;
   [[nodiscard]] u64 device_bytes_used() const override {
-    return store_->device_bytes_used();
+    return store_.device_bytes_used();
   }
   [[nodiscard]] u64 app_bytes_live() const override {
-    return store_->app_bytes_live();
+    return store_.app_bytes_live();
   }
   [[nodiscard]] const char* name() const override {
     return "Aerospike/block-SSD";
   }
 
-  sim::EventQueue& eq() override { return eq_; }
-  hashkv::HashKvStore& store() { return *store_; }
-  blockapi::BlockDevice& device() { return *dev_; }
-  blockftl::BlockFtl& ftl() { return *ftl_; }
-  [[nodiscard]] const ssd::FtlStats* ftl_stats() const override {
-    return &ftl_->stats();
-  }
-  [[nodiscard]] const flash::FlashController* flash_ctrl() const override {
-    return flash_.get();
-  }
-  [[nodiscard]] u64 buffer_stall_events() const override {
-    return ftl_->buffer_stalls();
-  }
-  void apply_fault_plan(const ssd::FaultPlan& plan) override {
-    ftl_->set_fault_plan(plan);
-    faults_on_ = plan.enabled;
-    // Re-derive the retry budget's bucket and jitter stream from the
-    // plan's seed so fault runs are reproducible from one knob.
-    retry_budget_.configure(retry_, plan.seed);
-  }
-  [[nodiscard]] const ssd::FaultInjector* fault_injector() const override {
-    return ftl_->fault_injector();
-  }
-  [[nodiscard]] u64 host_retries() const override { return host_retries_; }
-  [[nodiscard]] bool crash_supported() const override { return crash_on_; }
-  CrashOutcome simulate_crash() override;
-  [[nodiscard]] u64 inflight_host_ops() const override {
-    return inflight_.count();
-  }
+  hashkv::HashKvStore& store() { return store_; }
 
  private:
-  sim::EventQueue eq_;
-  std::unique_ptr<flash::FlashController> flash_;
-  std::unique_ptr<blockftl::BlockFtl> ftl_;
-  std::unique_ptr<nvme::NvmeLink> link_;
-  std::unique_ptr<blockapi::BlockDevice> dev_;
-  std::unique_ptr<hashkv::HashKvStore> store_;
-  RetryPolicy retry_;
-  detail::RetryBudget retry_budget_;
-  bool faults_on_ = false;
-  bool crash_on_ = false;
-  u64 host_retries_ = 0;
-  detail::InflightOps inflight_;
+  void issue(u32 slot) override;
+  void quiesce(sim::Task done) override { store_.drain(std::move(done)); }
+  void remount(CrashOutcome& out) override;
+
+  hashkv::HashKvStore store_;
 };
 
 }  // namespace kvsim::harness

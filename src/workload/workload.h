@@ -303,9 +303,6 @@ class SyntheticOpSource final : public OpSource {
   u64 frontier_;  ///< next fresh key id (inserts_extend_space mode)
 };
 
-/// Back-compat alias: OpStream was the concrete pre-interface generator.
-using OpStream = SyntheticOpSource;
-
 /// Deterministic inter-arrival-gap generator for an open-loop schedule.
 /// Thread-confined machinery, like OpSource: the runner builds one per
 /// open-loop tenant inside the cell that consumes it; the copyable

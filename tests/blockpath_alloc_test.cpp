@@ -168,5 +168,67 @@ TEST(BlockPathAllocation, HashKvGetFromDevice) {
   EXPECT_EQ(bed.ftl().stats().host_read_ops - reads0, n);  // all on device
 }
 
+// --- the bed above the store -------------------------------------------------
+
+/// Allocations of one read issued by `issue`, run to completion.
+template <typename Bed, typename Issue>
+unsigned long long read_allocs(Bed& bed, Issue issue) {
+  Status out = Status::kIoError;
+  const auto before = g_allocs;
+  issue([&out](Status s, ValueDesc) { out = s; });
+  bed.eq().run();
+  EXPECT_EQ(out, Status::kOk);
+  return g_allocs - before;
+}
+
+/// Once warm, a read through the bed (pooled host-op record, retry check)
+/// costs no allocation beyond the store read beneath it. Reads alternate
+/// between the two paths over the same keys.
+template <typename Bed>
+void expect_bed_read_adds_nothing(Bed& bed, u64 keys, u64 stride) {
+  auto bed_get = [&](const std::string& k) {
+    return read_allocs(bed, [&](KvStack::RetrieveDone cb) {
+      bed.retrieve(k, std::move(cb));
+    });
+  };
+  auto store_get = [&](const std::string& k) {
+    return read_allocs(bed, [&](KvStack::RetrieveDone cb) {
+      bed.store().get(k, std::move(cb));
+    });
+  };
+  for (u64 i = 0; i < keys; i += stride) {  // warm-up
+    bed_get(wl::make_key(i, kKeyBytes));
+    store_get(wl::make_key(i, kKeyBytes));
+  }
+  for (u64 i = 1; i < keys; i += stride) {
+    const std::string a = wl::make_key(i, kKeyBytes);
+    const std::string b = wl::make_key(i + stride / 2, kKeyBytes);
+    const auto store_allocs = store_get(a);
+    EXPECT_LE(bed_get(b), store_allocs) << "key " << i;
+  }
+}
+
+TEST(BlockPathAllocation, LsmBedRetrieveAddsNothingToTheStoreGet) {
+  LsmBedConfig c;
+  c.dev = small_dev();
+  c.ftl.read_cache_pages = 4;
+  c.lsm.memtable_bytes = 256 * KiB;
+  c.lsm.l1_target_bytes = 1 * MiB;
+  c.lsm.sst_target_bytes = 512 * KiB;
+  c.lsm.block_cache_bytes = 16 * 4 * KiB;
+  LsmBed bed(c);
+  put_and_drain(bed, 2000, 1 * KiB);
+  expect_bed_read_adds_nothing(bed, 2000, 14);
+}
+
+TEST(BlockPathAllocation, HashKvBedRetrieveAddsNothingToTheStoreGet) {
+  HashKvBedConfig c;
+  c.dev = small_dev();
+  c.ftl.read_cache_pages = 4;
+  HashKvBed bed(c);
+  put_and_drain(bed, 600, 1 * KiB);
+  expect_bed_read_adds_nothing(bed, 600, 10);
+}
+
 }  // namespace
 }  // namespace kvsim::harness

@@ -34,6 +34,7 @@
 #include "harness/report.h"
 #include "harness/runner.h"
 #include "harness/stacks.h"
+#include "test_beds.h"
 
 namespace kvsim::harness {
 namespace {
@@ -41,43 +42,6 @@ namespace {
 constexpr u32 kKeyBytes = 16;
 constexpr u32 kValueBytes = 2048;
 constexpr u32 kQd = 8;
-
-ssd::SsdConfig tiny_dev() {
-  ssd::SsdConfig d;
-  d.geometry.channels = 2;
-  d.geometry.dies_per_channel = 2;
-  d.geometry.planes_per_die = 2;
-  d.geometry.blocks_per_plane = 16;
-  d.geometry.pages_per_block = 16;  // 64 MiB raw
-  return d;
-}
-
-enum BedKind { kKvssd = 0, kLsm = 1, kHashKv = 2 };
-const char* const kBedNames[] = {"kvssd", "lsm", "hashkv"};
-
-std::unique_ptr<KvStack> make_bed(BedKind kind, bool crash_tracking = true) {
-  switch (kind) {
-    case kKvssd: {
-      KvssdBedConfig c;
-      c.dev = tiny_dev();
-      c.crash_tracking = crash_tracking;
-      return std::make_unique<KvssdBed>(c);
-    }
-    case kLsm: {
-      LsmBedConfig c;
-      c.dev = tiny_dev();
-      c.lsm.memtable_bytes = 256 * KiB;  // force flush/compaction churn
-      c.crash_tracking = crash_tracking;
-      return std::make_unique<LsmBed>(c);
-    }
-    default: {
-      HashKvBedConfig c;
-      c.dev = tiny_dev();
-      c.crash_tracking = crash_tracking;
-      return std::make_unique<HashKvBed>(c);
-    }
-  }
-}
 
 /// Deterministic per-(key, version) fingerprint, disjoint across keys.
 u64 oracle_fp(u64 key_id, u32 version) {
@@ -309,48 +273,83 @@ TEST(RetryPolicy, BackoffSaturatesAtCap) {
   EXPECT_EQ(p.backoff_for(1), 1 * kSec);
 }
 
-// --- drain-vs-retry race (the escape this PR closes) -----------------------
+// --- drain-vs-retry race ---------------------------------------------------
 
-// A transient-stall plan parks ops in host retry-backoff windows. A drain
-// issued while those timers are pending used to see an idle device and
-// report quiescence with host ops still in flight; the InflightOps gate
-// must hold the drain until the host side is actually empty.
-TEST(CrashRecovery, DrainWaitsOutRetryBackoffWindows) {
-  KvssdBedConfig c;
-  c.dev = tiny_dev();
-  c.retry.max_retries = 2;
-  c.retry.backoff_ns = 2 * kMs;
-  KvssdBed bed(c);
+/// A transient-stall plan: every command opens a busy window, so host ops
+/// bounce kDeviceBusy and park in retry backoff.
+ssd::FaultPlan stall_plan() {
   ssd::FaultPlan plan;
   plan.enabled = true;
-  plan.stall_prob = 1.0;  // every command opens a busy window
+  plan.stall_prob = 1.0;
   plan.busy_window_ns = 100 * kUs;
-  bed.apply_fault_plan(plan);
+  return plan;
+}
 
-  u64 completed = 0;
-  for (u64 k = 0; k < 20; ++k) {
-    bed.store(wl::make_key(k, kKeyBytes),
-              ValueDesc{kValueBytes, oracle_fp(k, 1)},
-              [&completed](Status) { ++completed; });
-  }
-  bool drained = false;
-  u64 inflight_at_drain = ~0ull;
-  u64 completed_at_drain = 0;
-  // Drain races the 20 stores (all of which will bounce busy and park in
-  // backoff at least once).
-  bed.drain([&] {
-    drained = true;
-    inflight_at_drain = bed.inflight_host_ops();
-    completed_at_drain = completed;
-  });
+RetryPolicy slow_retry() {
+  RetryPolicy r;
+  r.max_retries = 2;
+  r.backoff_ns = 2 * kMs;
+  return r;
+}
+
+/// Store `keys` keys and drain with faults off: later reads hit the device.
+void fill_and_drain(KvStack& bed, u64 keys) {
+  for (u64 k = 0; k < keys; ++k)
+    bed.store(wl::make_key(k, kKeyBytes), ValueDesc{kValueBytes, k + 1},
+              [](Status) {});
   bed.eq().run();
+  bed.drain([] {});
+  bed.eq().run();
+}
 
-  EXPECT_TRUE(drained);
-  EXPECT_EQ(completed, 20u);
-  EXPECT_GT(bed.host_retries(), 0u) << "plan failed to force retries";
-  // The escape: quiescence reported while ops sat in backoff windows.
-  EXPECT_EQ(inflight_at_drain, 0u);
-  EXPECT_EQ(completed_at_drain, 20u);
+// A drain issued while ops sit in retry backoff windows must not see an
+// idle device and report quiescence with host ops still in flight; the
+// bed's host-op gate holds it until the host side is actually empty.
+//
+// Reads reach the device on every bed. Stores reach it only on the KV-SSD
+// (the block beds buffer puts in host RAM), where a re-drive also carries
+// the attempt number as its stream hint, so that bed races both bursts.
+TEST(CrashRecovery, DrainWaitsOutRetryBackoffWindows) {
+  struct Burst {
+    BedKind kind;
+    bool reads;
+  };
+  for (const Burst b : {Burst{kKvssd, true}, Burst{kLsm, true},
+                        Burst{kHashKv, true}, Burst{kKvssd, false}}) {
+    SCOPED_TRACE(std::string(kBedNames[b.kind]) +
+                 (b.reads ? " reads" : " stores"));
+    auto bed = make_bed(b.kind, /*crash_tracking=*/false, slow_retry());
+    if (b.reads) fill_and_drain(*bed, 20);
+    bed->apply_fault_plan(stall_plan());
+
+    u64 completed = 0;
+    for (u64 k = 0; k < 20; ++k) {
+      const std::string key = wl::make_key(k, kKeyBytes);
+      if (b.reads)
+        bed->retrieve(key, [&completed](Status, ValueDesc) { ++completed; });
+      else
+        bed->store(key, ValueDesc{kValueBytes, oracle_fp(k, 1)},
+                   [&completed](Status) { ++completed; });
+    }
+    bool drained = false;
+    u64 inflight_at_drain = ~0ull;
+    u64 completed_at_drain = 0;
+    // Drain races the 20 ops (all of which bounce busy and park in
+    // backoff at least once).
+    bed->drain([&] {
+      drained = true;
+      inflight_at_drain = bed->inflight_host_ops();
+      completed_at_drain = completed;
+    });
+    bed->eq().run();
+
+    EXPECT_TRUE(drained);
+    EXPECT_EQ(completed, 20u);
+    EXPECT_GT(bed->host_retries(), 0u) << "plan failed to force retries";
+    // The escape: quiescence reported while ops sat in backoff windows.
+    EXPECT_EQ(inflight_at_drain, 0u);
+    EXPECT_EQ(completed_at_drain, 20u);
+  }
 }
 
 // --- pooled per-command state across a cut ---------------------------------
@@ -361,12 +360,7 @@ TEST(CrashRecovery, DrainWaitsOutRetryBackoffWindows) {
 template <typename Bed>
 bool reads_across_a_cut(Bed& bed, u64 keys, u64 cut,
                         const std::function<bool()>& live_records) {
-  for (u64 k = 0; k < keys; ++k)
-    bed.store(wl::make_key(k, kKeyBytes), ValueDesc{kValueBytes, k + 1},
-              [](Status) {});
-  bed.eq().run();
-  bed.drain([] {});
-  bed.eq().run();
+  fill_and_drain(bed, keys);
 
   Rng rng(5);
   bool live_at_cut = false;
@@ -434,6 +428,56 @@ TEST(CrashRecovery, PowerLossReleasesPooledReadStateOnHashKvBed) {
   expect_pools_empty(bed->device().command_pool_usage(),
                      bed->ftl().read_pool_usage());
 }
+
+// --- the bed scaffold across a power cut ------------------------------------
+
+class BedScaffold : public ::testing::TestWithParam<int> {};
+
+// Cut the power while some ops sit in retry backoff and others are in
+// flight on the device. Both kinds die unrun with the cut; the mounted
+// bed counts no op in flight, serves a second burst in full, and drains.
+TEST_P(BedScaffold, PowerCutDropsOpsInBackoffAndInFlight) {
+  const auto kind = (BedKind)GetParam();
+  auto bed = make_bed(kind, /*crash_tracking=*/true, slow_retry());
+  fill_and_drain(*bed, 64);
+  bed->apply_fault_plan(stall_plan());
+
+  u64 first_burst_done = 0;
+  auto read = [&](u64 k, u64& done) {
+    bed->retrieve(wl::make_key(k, kKeyBytes),
+                  [&done](Status, ValueDesc) { ++done; });
+  };
+  for (u64 k = 0; k < 8; ++k) read(k, first_burst_done);
+  // Step until a re-drive is parked in its 2 ms backoff window, then put
+  // four more reads on the device so ops are in flight too.
+  while (bed->host_retries() == 0 && bed->eq().step()) {
+  }
+  ASSERT_GT(bed->host_retries(), 0u) << "plan failed to force retries";
+  for (u64 k = 8; k < 12; ++k) read(k, first_burst_done);
+  ASSERT_GE(bed->inflight_host_ops(), 5u);
+
+  bed->simulate_crash();
+  EXPECT_EQ(bed->inflight_host_ops(), 0u);
+  const u64 done_at_cut = first_burst_done;
+
+  bed->apply_fault_plan(ssd::FaultPlan{});  // healthy device from here on
+  u64 second_burst_done = 0;
+  for (u64 k = 0; k < 32; ++k) read(k, second_burst_done);
+  bed->eq().run();
+  EXPECT_EQ(second_burst_done, 32u);
+  EXPECT_EQ(first_burst_done, done_at_cut) << "a cut op completed";
+  EXPECT_EQ(bed->inflight_host_ops(), 0u);
+
+  bool drained = false;
+  bed->drain([&drained] { drained = true; });
+  bed->eq().run();
+  EXPECT_TRUE(drained);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBeds, BedScaffold,
+                         ::testing::Values((int)kKvssd, (int)kLsm,
+                                           (int)kHashKv),
+                         bed_param_name);
 
 // --- differential crash sweep ----------------------------------------------
 
@@ -517,9 +561,7 @@ TEST_P(CrashSweep, RecoveryIsDeterministic) {
 INSTANTIATE_TEST_SUITE_P(AllBeds, CrashSweep,
                          ::testing::Values((int)kKvssd, (int)kLsm,
                                            (int)kHashKv),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return kBedNames[info.param];
-                         });
+                         bed_param_name);
 
 // --- runner + report integration -------------------------------------------
 

@@ -6,24 +6,17 @@
 // checks: every recovery action must keep mapping/flash state consistent.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "harness/report.h"
 #include "harness/runner.h"
 #include "harness/stacks.h"
+#include "test_beds.h"
 
 namespace kvsim::harness {
 namespace {
-
-ssd::SsdConfig tiny_dev() {
-  ssd::SsdConfig d;
-  d.geometry.channels = 2;
-  d.geometry.dies_per_channel = 2;
-  d.geometry.planes_per_die = 2;
-  d.geometry.blocks_per_plane = 16;
-  d.geometry.pages_per_block = 16;  // 64 MiB raw
-  return d;
-}
 
 wl::WorkloadSpec churn_spec(u64 ops = 4000) {
   wl::WorkloadSpec spec;
@@ -50,19 +43,19 @@ ssd::FaultPlan stress_plan() {
   return p;
 }
 
-std::string faulty_report_json(const ssd::FaultPlan& plan) {
-  KvssdBedConfig c;
-  c.dev = tiny_dev();
-  KvssdBed bed(c);
-  (void)fill_stack(bed, 1200, 16, 2048, 32);
+std::string faulty_report_json(const ssd::FaultPlan& plan,
+                               BedKind kind = kKvssd,
+                               const RetryPolicy& retry = {}) {
+  auto bed = make_bed(kind, /*crash_tracking=*/false, retry);
+  (void)fill_stack(*bed, 1200, 16, 2048, 32);
   RunOptions opts;
   opts.drain_after = true;
   opts.telemetry_interval = 10 * kMs;
   opts.faults = plan;
-  const RunResult r = run_workload(bed, churn_spec(), opts);
+  const RunResult r = run_workload(*bed, churn_spec(), opts);
   BenchReport rep("fault_determinism");
   rep.add_run("churn", r);
-  rep.add_device(bed);
+  rep.add_device(*bed);
   return rep.to_json();
 }
 
@@ -88,6 +81,49 @@ TEST(RetryPolicy, RetriesOnlyRetryableCategoriesWithinBudget) {
   EXPECT_FALSE(p.should_retry(Status::kDeviceBusy, 0));
   p.retry_timeout = false;
   EXPECT_FALSE(p.should_retry(Status::kTimeout, 0));
+}
+
+// One seeded violation per rule, each next to the boundary it must keep.
+TEST(RetryPolicy, ValidateRejectsKnobsOutsideTheirRange) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto check = [](void (*set)(RetryPolicy&, double), double v, bool ok) {
+    RetryPolicy p;
+    set(p, v);
+    if (ok)
+      EXPECT_NO_THROW(p.validate()) << v;
+    else
+      EXPECT_THROW(p.validate(), std::invalid_argument) << v;
+  };
+  EXPECT_NO_THROW(RetryPolicy{}.validate());
+  auto mult = [](RetryPolicy& p, double v) { p.backoff_mult = v; };
+  check(mult, 1.0, true);  // constant backoff
+  check(mult, 0.999, false);
+  check(mult, -2.0, false);
+  check(mult, nan, false);
+  auto jitter = [](RetryPolicy& p, double v) { p.jitter_frac = v; };
+  check(jitter, 0.0, true);
+  check(jitter, 1.0, true);
+  check(jitter, -0.01, false);
+  check(jitter, 1.01, false);
+  check(jitter, nan, false);
+  check(jitter, inf, false);
+  auto refill = [](RetryPolicy& p, double v) { p.retry_refill_per_sec = v; };
+  check(refill, 0.0, true);
+  check(refill, 1e9, true);
+  check(refill, -1.0, false);
+  check(refill, nan, false);
+  check(refill, inf, false);
+}
+
+TEST(RetryPolicy, EveryBedValidatesItsPolicy) {
+  RetryPolicy bad;
+  bad.jitter_frac = std::numeric_limits<double>::quiet_NaN();
+  for (BedKind kind : {kKvssd, kLsm, kHashKv}) {
+    SCOPED_TRACE(kBedNames[kind]);
+    EXPECT_THROW((void)make_bed(kind, false, bad), std::invalid_argument);
+    EXPECT_NO_THROW((void)make_bed(kind, false, RetryPolicy{}));
+  }
 }
 
 TEST(RetryPolicy, BackoffGrowsExponentially) {
@@ -208,14 +244,39 @@ TEST(FaultInjector, ReadUberGrowsWithEraseCyclesUpToCeiling) {
 // --- seeded determinism ----------------------------------------------------
 
 TEST(FaultDeterminism, SamePlanSameSeedIsByteIdentical) {
-  const std::string a = faulty_report_json(stress_plan());
-  const std::string b = faulty_report_json(stress_plan());
-  EXPECT_EQ(a, b);
-  // The run must have actually exercised the fault machinery: the plan
-  // stresses reads, programs, and erases on a tiny worn device.
-  EXPECT_NE(a.find("\"faults\""), std::string::npos);
-  EXPECT_NE(a.find("read_uncorrectable"), std::string::npos);
+  for (BedKind kind : {kKvssd, kLsm, kHashKv}) {
+    SCOPED_TRACE(kBedNames[kind]);
+    const std::string a = faulty_report_json(stress_plan(), kind);
+    const std::string b = faulty_report_json(stress_plan(), kind);
+    EXPECT_EQ(a, b);
+    // The run must have actually exercised the fault machinery: the plan
+    // stresses reads, programs, and erases on a tiny worn device.
+    EXPECT_NE(a.find("\"faults\""), std::string::npos);
+    EXPECT_NE(a.find("read_uncorrectable"), std::string::npos);
+  }
 }
+
+class FaultDeterminismOnBed : public ::testing::TestWithParam<int> {};
+
+// The retry budget's token bucket and jitter stream are seeded from the
+// plan too, so a budgeted, jittered fault run repeats byte for byte.
+TEST_P(FaultDeterminismOnBed, BudgetAndJitterRunIsByteIdentical) {
+  const auto kind = (BedKind)GetParam();
+  ssd::FaultPlan plan = stress_plan();
+  plan.stall_prob = 0.01;  // enough bounces to drain the bucket
+  RetryPolicy retry;
+  retry.retry_budget = 4;
+  retry.retry_refill_per_sec = 50.0;
+  retry.jitter_frac = 0.5;
+  const std::string a = faulty_report_json(plan, kind, retry);
+  EXPECT_EQ(a, faulty_report_json(plan, kind, retry));
+  EXPECT_NE(a.find("host_retries"), std::string::npos);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBeds, FaultDeterminismOnBed,
+                         ::testing::Values((int)kKvssd, (int)kLsm,
+                                           (int)kHashKv),
+                         bed_param_name);
 
 TEST(FaultDeterminism, DifferentSeedsDiverge) {
   ssd::FaultPlan p1 = stress_plan();
@@ -328,6 +389,41 @@ TEST(FaultRecovery, TimeoutDeadlineClassifiesSlowOps) {
 }
 
 // --- recovery: block FTL stacks -------------------------------------------
+
+// A block bed's tenant queue is a sticky hint on the block device, so a
+// re-drive must set it again: three reads on queues 0, 1, 0 each bounce
+// busy and re-drive, and every attempt rides its own tenant's queue.
+TEST(FaultRecovery, BlockBedRedriveKeepsItsTenantQueue) {
+  HashKvBedConfig c;
+  c.dev = tiny_dev();
+  c.nvme.num_queues = 2;
+  HashKvBed bed(c);
+  for (u64 k = 0; k < 3; ++k)
+    bed.store(wl::make_key(k, 16), ValueDesc{2048, k + 1}, [](Status) {});
+  bed.drain([] {});
+  bed.eq().run();
+  const nvme::NvmeLink& link = *bed.nvme_link();
+  const u64 q0 = link.queue_stats(0).submissions;
+  const u64 q1 = link.queue_stats(1).submissions;
+
+  ssd::FaultPlan plan;
+  plan.enabled = true;
+  plan.stall_prob = 1.0;
+  plan.busy_window_ns = 100 * kUs;
+  bed.apply_fault_plan(plan);
+  const u32 queues[] = {0, 1, 0};
+  for (u64 k = 0; k < 3; ++k)
+    bed.retrieve_as(TenantCtx{0, queues[k]}, wl::make_key(k, 16),
+                    [](Status, ValueDesc) {});
+  bed.eq().run();
+
+  const u64 sub0 = link.queue_stats(0).submissions - q0;
+  const u64 sub1 = link.queue_stats(1).submissions - q1;
+  EXPECT_EQ(sub0 + sub1, 3 + bed.host_retries());
+  EXPECT_EQ(bed.host_retries(), 3u);
+  EXPECT_EQ(sub0, 3u);
+  EXPECT_EQ(sub1, 3u) << "a re-drive left its tenant's queue";
+}
 
 TEST(FaultRecovery, LsmStackPropagatesAndRecoversDeviceFaults) {
   LsmBedConfig c;

@@ -1,6 +1,8 @@
 // Tests for the extent-based filesystem over the block device.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "fs/file_system.h"
 #include "harness/stacks.h"
 
@@ -136,6 +138,50 @@ TEST(FileSystem, CpuAccounted) {
   auto h = bed.fs.create("data");
   ASSERT_EQ(bed.append(h, 64 * KiB), Status::kOk);
   EXPECT_GT(bed.fs.host_cpu_ns(), 0u);
+}
+
+// One seeded violation per rule, each next to the boundary it must keep.
+TEST(FsConfigValidate, RejectsEachBadKnob) {
+  EXPECT_NO_THROW(FsConfig{}.validate());
+  auto check = [](void (*set)(FsConfig&, u32), u32 v, bool ok) {
+    FsConfig c;
+    set(c, v);
+    if (ok)
+      EXPECT_NO_THROW(c.validate()) << v;
+    else
+      EXPECT_THROW(c.validate(), std::invalid_argument) << v;
+  };
+  auto block = [](FsConfig& c, u32 v) { c.block_bytes = v; };
+  check(block, 512, true);
+  check(block, 64 * KiB, true);
+  check(block, 0, false);
+  check(block, 511, false);
+  check(block, 4 * KiB + 256, false);
+  auto extent = [](FsConfig& c, u32 v) { c.max_extent_blocks = v; };
+  check(extent, 1, true);
+  check(extent, 0, false);
+  auto journal = [](FsConfig& c, u32 v) { c.journal_every_ops = v; };
+  check(journal, 1, true);
+  check(journal, 0, false);
+}
+
+TEST(FsConfigValidate, ConstructorRejectsBadConfigAndTooSmallDevice) {
+  harness::BlockDirectBed dev_bed(Bed::make_cfg());
+  FsConfig bad;
+  bad.journal_every_ops = 0;
+  EXPECT_THROW(FileSystem(dev_bed.eq(), dev_bed.device(), bad),
+               std::invalid_argument);
+  // Block 0 is the journal, so a device needs at least two fs blocks.
+  const u64 cap = dev_bed.device().capacity_bytes();
+  FsConfig one;
+  one.block_bytes = (u32)(cap / 512 * 512);  // exactly one block fits
+  EXPECT_THROW(FileSystem(dev_bed.eq(), dev_bed.device(), one),
+               std::invalid_argument);
+  FsConfig two;
+  two.block_bytes = (u32)(cap / 2 / 512 * 512);
+  FileSystem fs(dev_bed.eq(), dev_bed.device(), two);
+  EXPECT_EQ(fs.free_bytes() + fs.used_bytes(),
+            cap / two.block_bytes * two.block_bytes);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <new>
 #include <string>
 
+#include "harness/stacks.h"
 #include "kvftl/kv_ftl.h"
 
 // --- counting global allocator ---------------------------------------------
@@ -168,3 +169,50 @@ TEST(KvFtlAllocation, IndexMissWalkAddsNoAllocation) {
 
 }  // namespace
 }  // namespace kvsim::kvftl
+
+namespace kvsim::harness {
+namespace {
+
+// Once warm, a retrieve through the KV bed (pooled host-op record, retry
+// check) costs no allocation beyond the device command beneath it.
+TEST(KvFtlAllocation, BedRetrieveAddsNothingToTheDeviceCommand) {
+  KvssdBedConfig c;
+  c.dev = kvftl::Bed::device();
+  c.ftl = kvftl::resident_index();
+  KvssdBed bed(c);
+  for (u64 i = 0; i < 64; ++i)
+    bed.store(kvftl::Bed::key(i), ValueDesc{4 * KiB, i + 1}, [](Status) {});
+  bed.drain([] {});
+  bed.eq().run();
+
+  auto count = [&](auto issue) {
+    Status out = Status::kIoError;
+    const auto before = g_allocs;
+    issue([&out](Status s, ValueDesc) { out = s; });
+    bed.eq().run();
+    EXPECT_EQ(out, Status::kOk);
+    return g_allocs - before;
+  };
+  auto bed_get = [&](const std::string& k) {
+    return count([&](KvStack::RetrieveDone cb) {
+      bed.retrieve(k, std::move(cb));
+    });
+  };
+  auto dev_get = [&](const std::string& k) {
+    return count([&](KvStack::RetrieveDone cb) {
+      bed.device().retrieve(k, std::move(cb));
+    });
+  };
+  for (u64 i = 0; i < 64; ++i) {  // warm-up
+    bed_get(kvftl::Bed::key(i));
+    dev_get(kvftl::Bed::key(i));
+  }
+  for (u64 i = 0; i < 64; ++i) {
+    const std::string k = kvftl::Bed::key(i);
+    const auto dev_allocs = dev_get(k);
+    EXPECT_LE(bed_get(k), dev_allocs) << "key " << i;
+  }
+}
+
+}  // namespace
+}  // namespace kvsim::harness

@@ -77,7 +77,7 @@ TEST(KeyChooser, SlidingWindowSweeps) {
 TEST(OpStream, GeneratesExactlyNumOps) {
   WorkloadSpec spec;
   spec.num_ops = 123;
-  OpStream s(spec);
+  SyntheticOpSource s(spec);
   Op op;
   u64 n = 0;
   while (s.next(op)) ++n;
@@ -89,7 +89,7 @@ TEST(OpStream, MixFractionsRespected) {
   WorkloadSpec spec;
   spec.num_ops = 20000;
   spec.mix = {0.25, 0.25, 0.5, 0};
-  OpStream s(spec);
+  SyntheticOpSource s(spec);
   Op op;
   std::map<OpType, u64> counts;
   while (s.next(op)) ++counts[op.type];
@@ -102,7 +102,7 @@ TEST(OpStream, DeterministicForSameSeed) {
   WorkloadSpec spec;
   spec.num_ops = 500;
   spec.pattern = Pattern::kUniform;
-  OpStream a(spec), b(spec);
+  SyntheticOpSource a(spec), b(spec);
   Op oa, ob;
   while (a.next(oa)) {
     ASSERT_TRUE(b.next(ob));
@@ -115,7 +115,7 @@ TEST(ValueDist, FixedAlwaysSame) {
   WorkloadSpec spec;
   spec.num_ops = 500;
   spec.value_bytes = 777;
-  OpStream s(spec);
+  SyntheticOpSource s(spec);
   Op op;
   while (s.next(op)) EXPECT_EQ(op.value_bytes, 777u);
 }
@@ -126,7 +126,7 @@ TEST(ValueDist, UniformStaysInRange) {
   spec.value_dist = ValueDist::kUniform;
   spec.value_min_bytes = 100;
   spec.value_bytes = 1000;
-  OpStream s(spec);
+  SyntheticOpSource s(spec);
   Op op;
   double sum = 0;
   while (s.next(op)) {
@@ -142,7 +142,7 @@ TEST(ValueDist, FacebookHeavyTailNearCitedMean) {
   spec.num_ops = 50000;
   spec.value_dist = ValueDist::kFacebook;
   spec.value_bytes = 2048;  // tail cap
-  OpStream s(spec);
+  SyntheticOpSource s(spec);
   Op op;
   double sum = 0;
   u64 small = 0;

@@ -39,7 +39,7 @@ TEST(DistinctInserts, VisitEveryKeyOnce) {
   spec.pattern = Pattern::kUniform;
   spec.mix = OpMix::insert_only();
   spec.distinct_inserts = true;
-  OpStream s(spec);
+  SyntheticOpSource s(spec);
   Op op;
   std::set<u64> seen;
   while (s.next(op)) {
@@ -86,7 +86,7 @@ TEST(YcsbSpecs, MixesMatchDefinition) {
 
 TEST(YcsbSpecs, StreamRespectsScanOps) {
   WorkloadSpec spec = ycsb_spec(YcsbWorkload::kE, 1000, 2000, {});
-  OpStream s(spec);
+  SyntheticOpSource s(spec);
   Op op;
   u64 scans = 0, inserts = 0;
   while (s.next(op)) {
