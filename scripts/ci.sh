@@ -32,7 +32,8 @@
 #      checked by CheckedStack), then its ctest cases: e2e_smoke and
 #      e2e_determinism (same seed, same simulated results);
 #   7. the simulation-core perf smoke (scripts/bench.sh --smoke), failing
-#      on >20% events/sec regression vs the committed BENCH_sim.json (and
+#      on >20% events/sec regression vs the committed BENCH_sim.json, both
+#      normalized by the host-speed probe (and
 #      on sweep-scaling regression vs its committed baseline when that
 #      baseline came from a host with the same >=2 hardware threads);
 #   8. the suite under ASan/UBSan via scripts/sanitize.sh;

@@ -156,11 +156,6 @@ void FlashController::stage_oob(PageId page, std::vector<OobEntry> entries) {
   staged_oob_[page] = std::move(entries);
 }
 
-void FlashController::drop_staged_oob(PageId page) {
-  if (!oob_on_) return;
-  staged_oob_.erase(page);
-}
-
 std::vector<PageId> FlashController::power_loss(TimeNs now) {
   std::vector<PageId> torn;
   for (auto it = oob_.begin(); it != oob_.end();) {

@@ -257,8 +257,6 @@ class FlashController {
   /// (gain an epoch and a durable_at) when the program is charged, and
   /// are dropped if the page never programs or its block is erased.
   void stage_oob(PageId page, std::vector<OobEntry> entries);
-  /// Drop staged-but-unprogrammed OOB for `page` (write point abandoned).
-  void drop_staged_oob(PageId page);
 
   /// Power-loss cut at `now`: programs completing after the cut are torn
   /// — their OOB is removed and their pages returned — all staged OOB is

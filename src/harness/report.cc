@@ -212,78 +212,6 @@ void mix_result_json(JsonWriter& w, const MixResult& m) {
   w.end_object();
 }
 
-void device_json(JsonWriter& w, const char* name, const ssd::FtlStats* ftl,
-                 const flash::FlashController* flash,
-                 const ssd::FaultInjector* faults) {
-  w.begin_object();
-  w.kv("name", name ? name : "");
-  if (ftl) {
-    w.key("ftl").begin_object();
-    w.kv("host_read_ops", ftl->host_read_ops);
-    w.kv("host_write_ops", ftl->host_write_ops);
-    w.kv("host_bytes_read", ftl->host_bytes_read);
-    w.kv("host_bytes_written", ftl->host_bytes_written);
-    w.kv("gc_runs", ftl->gc_runs);
-    w.kv("gc_foreground_runs", ftl->gc_foreground_runs);
-    w.kv("gc_migrated_bytes", ftl->gc_migrated_bytes);
-    w.kv("gc_migrated_units", ftl->gc_migrated_units);
-    w.kv("rmw_ops", ftl->rmw_ops);
-    w.kv("flash_bytes_written", ftl->flash_bytes_written);
-    w.kv("waf", ftl->waf());
-    if ((*ftl).any_fault_activity()) {
-      w.kv("read_media_errors", (*ftl).read_media_errors);
-      w.kv("program_failures", (*ftl).program_failures);
-      w.kv("erase_failures", (*ftl).erase_failures);
-      w.kv("grown_bad_blocks", (*ftl).grown_bad_blocks);
-      w.kv("remapped_units", (*ftl).remapped_units);
-      w.kv("reprogrammed_pages", (*ftl).reprogrammed_pages);
-      w.kv("busy_rejections", (*ftl).busy_rejections);
-      w.kv("op_timeouts", (*ftl).op_timeouts);
-    }
-    w.end_object();
-  }
-  if (flash) {
-    w.key("flash").begin_object();
-    const auto& fs = flash->stats();
-    w.key("counters").begin_object();
-    w.kv("page_reads", fs.page_reads);
-    w.kv("page_programs", fs.page_programs);
-    w.kv("block_erases", fs.block_erases);
-    w.kv("read_retries", fs.read_retries);
-    w.kv("bytes_read", fs.bytes_read);
-    w.kv("bytes_programmed", fs.bytes_programmed);
-    w.end_object();
-    w.key("stages").begin_object();
-    w.key("read");
-    stage_breakdown_json(w, flash->read_stages());
-    w.key("program");
-    stage_breakdown_json(w, flash->program_stages());
-    w.key("erase");
-    stage_breakdown_json(w, flash->erase_stages());
-    w.end_object();
-    w.key("die_busy_ns").begin_array();
-    for (u64 d = 0; d < flash->num_dies(); ++d)
-      w.value((u64)flash->die_busy_ns(d));
-    w.end_array();
-    w.key("channel_busy_ns").begin_array();
-    for (u32 c = 0; c < flash->num_channels(); ++c)
-      w.value((u64)flash->channel_busy_ns(c));
-    w.end_array();
-    w.end_object();
-  }
-  if (faults && faults->stats().total_faults() != 0) {
-    const ssd::FaultStats& fst = faults->stats();
-    w.key("faults").begin_object();
-    w.kv("read_uncorrectable", fst.read_uncorrectable);
-    w.kv("program_fails", fst.program_fails);
-    w.kv("erase_fails", fst.erase_fails);
-    w.kv("stalls", fst.stalls);
-    w.kv("injected_retry_rounds", fst.injected_retry_rounds);
-    w.end_object();
-  }
-  w.end_object();
-}
-
 void BenchReport::add_run(const std::string& label, const RunResult& r) {
   runs_.emplace_back(label, r);
 }

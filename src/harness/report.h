@@ -37,13 +37,6 @@ void run_result_json(JsonWriter& w, const RunResult& r);
 /// counter deltas (queue wait vs device service, arbitration stalls).
 void mix_result_json(JsonWriter& w, const MixResult& m);
 
-/// Serialize a device snapshot: cumulative FtlStats, FlashStats, stage
-/// breakdowns, and per-die/per-channel busy time. Any pointer may be null.
-/// `faults` adds the injector's own draw counters (fault runs only).
-void device_json(JsonWriter& w, const char* name, const ssd::FtlStats* ftl,
-                 const flash::FlashController* flash,
-                 const ssd::FaultInjector* faults = nullptr);
-
 /// Accumulates labeled runs plus device snapshots and writes one JSON
 /// document per benchmark binary.
 class BenchReport {

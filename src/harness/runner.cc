@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/inline_key.h"
 #include "workload/trace.h"
 
 namespace kvsim::harness {
@@ -278,29 +279,31 @@ struct MixDriver {
     ++st.inflight;
     ++inflight;
     const u64 version = ++st.op_seq;
-    const std::string key = wl::make_key(op.key_id, st.tspec.spec.key_bytes);
+    InlineKey key;
+    wl::make_key(op.key_id, st.tspec.spec.key_bytes, key);
     const u64 op_bytes = key.size() + op.value_bytes;
     const wl::OpType type = op.type;
     const u64 key_id = op.key_id;
     switch (op.type) {
       case wl::OpType::kInsert:
-      case wl::OpType::kUpdate: {
-        const bool insert = op.type == wl::OpType::kInsert;
+      case wl::OpType::kUpdate:
+        // Captures stay within sim::Fn's inline buffer: an insert is told
+        // apart by `type`.
         stack.store_as(
-            st.ctx, key,
+            st.ctx, key.view(),
             ValueDesc{op.value_bytes,
                       wl::value_fingerprint(op.key_id, version)},
-            [this, ti, start, insert, op_bytes, type, key_id](Status s) {
+            [this, ti, start, op_bytes, type, key_id](Status s) {
               finish(ti, s, start,
-                     insert ? &RunResult::insert : &RunResult::update,
+                     type == wl::OpType::kInsert ? &RunResult::insert
+                                                 : &RunResult::update,
                      op_bytes, type, key_id, /*fp=*/0);
             });
         break;
-      }
       case wl::OpType::kRead:
       case wl::OpType::kExist:
         stack.retrieve_as(
-            st.ctx, key,
+            st.ctx, key.view(),
             [this, ti, start, type, key_id](Status s, ValueDesc v) {
               finish(ti, s, start, &RunResult::read, v.size, type, key_id,
                      v.fingerprint);
@@ -310,7 +313,7 @@ struct MixDriver {
         scan_step(ti, op.key_id, std::max<u32>(1, op.scan_length), start, 0);
         break;
       case wl::OpType::kDelete:
-        stack.remove_as(st.ctx, key,
+        stack.remove_as(st.ctx, key.view(),
                         [this, ti, start, type, key_id](Status s) {
                           finish(ti, s, start, &RunResult::del, 0, type,
                                  key_id, /*fp=*/0);
@@ -324,11 +327,11 @@ struct MixDriver {
   void scan_step(u32 ti, u64 key_id, u32 remaining, TimeNs start,
                  u64 bytes) {
     TenantState& st = tenants[ti];
-    const std::string key =
-        wl::make_key(key_id % std::max<u64>(1, st.tspec.spec.key_space),
-                     st.tspec.spec.key_bytes);
+    InlineKey key;
+    wl::make_key(key_id % std::max<u64>(1, st.tspec.spec.key_space),
+                 st.tspec.spec.key_bytes, key);
     stack.retrieve_as(
-        st.ctx, key,
+        st.ctx, key.view(),
         [this, ti, key_id, remaining, start, bytes](Status s, ValueDesc v) {
           const u64 total = bytes + v.size;
           if (remaining <= 1 ||

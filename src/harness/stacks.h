@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "blockapi/block_device.h"
+#include "common/inline_key.h"
 #include "common/slot_pool.h"
 #include "fs/file_system.h"
 #include "harness/stack_iface.h"
@@ -83,26 +84,19 @@ class Drive {
 
 /// A bed's state for one host op, from issue to final completion: the
 /// caller's callback, the key as the store sees it, the value, the tenant
-/// and the attempt number. The key sits in an inline buffer (on the heap
-/// only past kInlineKeyBytes); a recycled record keeps the heap buffer.
+/// and the attempt number.
 struct HostOp {
   enum Kind : u8 { kStore, kRetrieve, kRemove };
-  static constexpr size_t kInlineKeyBytes = 46;
 
   KvStack::StoreDone done;    ///< store, remove
   KvStack::RetrieveDone got;  ///< retrieve
   ValueDesc value;
   TenantCtx ctx;
   u32 attempt = 0;
-  u32 key_bytes = 0;
   Kind kind = kStore;
-  char key_inline[kInlineKeyBytes] = {};
-  std::string key_heap;
+  InlineKey key_buf;
 
-  [[nodiscard]] std::string_view key() const {
-    return {key_bytes <= kInlineKeyBytes ? key_inline : key_heap.data(),
-            key_bytes};
-  }
+  [[nodiscard]] std::string_view key() const { return key_buf.view(); }
 
   /// Copy `key` in. A nonzero `tag_nsid` prefixes the 2-byte namespace
   /// tag that isolates keyspaces on beds without device namespaces:
@@ -110,12 +104,7 @@ struct HostOp {
   /// keyspaces are disjoint from each other and from namespace 0.
   void set_key(u8 tag_nsid, std::string_view key) {
     const size_t tag = tag_nsid != 0 ? 2 : 0;
-    key_bytes = (u32)(tag + key.size());
-    char* p = key_inline;
-    if (key_bytes > kInlineKeyBytes) {
-      key_heap.resize(key_bytes);
-      p = key_heap.data();
-    }
+    char* p = key_buf.resize(tag + key.size());
     if (tag != 0) {
       p[0] = (char)('A' + (tag_nsid >> 4));
       p[1] = (char)('A' + (tag_nsid & 0xf));

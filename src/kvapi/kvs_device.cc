@@ -5,72 +5,99 @@
 
 namespace kvsim::kvapi {
 
+// Every closure below captures only {this, slot}, so it fits sim::Fn's
+// inline buffer: once the pool has grown to the peak number of commands
+// in flight, a command allocates nothing. A callback may issue commands
+// and grow the pool, so records are re-indexed after every call out. The
+// key handed to the FTL stays valid through that call: the FTL answers
+// only through complete(), which schedules and never grows the pool.
+
+u32 KvsDevice::start(std::string_view key, u8 nsid, u32 qid) {
+  api_cpu_ns_ += cfg_.api_call_ns;
+  const u32 slot = cmds_.acquire();
+  Cmd& c = cmds_[slot];
+  c.key.assign(key);
+  c.nsid = nsid;
+  c.qid = qid;
+  return slot;
+}
+
 void KvsDevice::store(std::string_view key, ValueDesc value, StoreDone done,
                       u8 stream, u8 nsid, u32 qid) {
-  api_cpu_ns_ += cfg_.api_call_ns;
-  link_.submit_on(qid, key_cmds(key), key.size() + value.size,
-                  [this, k = std::string(key), value, stream, nsid, qid,
-                   done = std::move(done)]() mutable {
-                    ftl_.store(
-                        k, value,
-                        [this, qid, done = std::move(done)](Status s) mutable {
-                          link_.complete_on(qid, 0,
-                                            [s, done = std::move(done)]() mutable { done(s); });
-                        },
-                        stream, nsid);
-                  });
+  const u32 slot = start(key, nsid, qid);
+  Cmd& c = cmds_[slot];
+  c.value = value;
+  c.stream = stream;
+  c.done = std::move(done);
+  link_.submit_on(qid, key_cmds(key), key.size() + value.size, [this, slot] {
+    const Cmd& c = cmds_[slot];
+    ftl_.store(c.key.view(), c.value,
+               [this, slot](Status s) { complete(slot, s); }, c.stream,
+               c.nsid);
+  });
 }
 
 void KvsDevice::retrieve(std::string_view key, RetrieveDone done, u8 nsid,
                          u32 qid) {
-  api_cpu_ns_ += cfg_.api_call_ns;
-  link_.submit_on(qid, key_cmds(key), key.size(),
-                  [this, k = std::string(key), nsid, qid,
-                   done = std::move(done)]() mutable {
-                    ftl_.retrieve(
-                        k,
-                        [this, qid, done = std::move(done)](Status s,
-                                                            ValueDesc v) mutable {
-                          link_.complete_on(qid, v.size,
-                                            [s, v, done = std::move(done)]() mutable {
-                                              done(s, v);
-                                            });
-                        },
-                        nsid);
-                  });
+  const u32 slot = start(key, nsid, qid);
+  cmds_[slot].got = std::move(done);
+  link_.submit_on(qid, key_cmds(key), key.size(), [this, slot] {
+    const Cmd& c = cmds_[slot];
+    ftl_.retrieve(c.key.view(),
+                  [this, slot](Status s, ValueDesc v) { complete(slot, s, v); },
+                  c.nsid);
+  });
 }
 
 void KvsDevice::remove(std::string_view key, StoreDone done, u8 nsid,
                        u32 qid) {
-  api_cpu_ns_ += cfg_.api_call_ns;
-  link_.submit_on(qid, key_cmds(key), key.size(),
-                  [this, k = std::string(key), nsid, qid,
-                   done = std::move(done)]() mutable {
-                    ftl_.remove(
-                        k,
-                        [this, qid, done = std::move(done)](Status s) mutable {
-                          link_.complete_on(qid, 0,
-                                            [s, done = std::move(done)]() mutable { done(s); });
-                        },
-                        nsid);
-                  });
+  const u32 slot = start(key, nsid, qid);
+  cmds_[slot].done = std::move(done);
+  link_.submit_on(qid, key_cmds(key), key.size(), [this, slot] {
+    const Cmd& c = cmds_[slot];
+    ftl_.remove(c.key.view(), [this, slot](Status s) { complete(slot, s); },
+                c.nsid);
+  });
 }
 
-void KvsDevice::exist(std::string_view key, ExistDone done, u8 nsid) {
-  api_cpu_ns_ += cfg_.api_call_ns;
-  link_.submit(key_cmds(key), key.size(),
-               [this, k = std::string(key), nsid, done = std::move(done)]() mutable {
-                 ftl_.exist(
-                     k,
-                     [this, done = std::move(done)](Status s,
-                                                    bool found) mutable {
-                       link_.complete(0,
-                                      [s, found, done = std::move(done)]() mutable {
-                                        done(s, found);
-                                      });
-                     },
-                     nsid);
-               });
+void KvsDevice::exist(std::string_view key, ExistDone done, u8 nsid,
+                      u32 qid) {
+  const u32 slot = start(key, nsid, qid);
+  cmds_[slot].answered = std::move(done);
+  link_.submit_on(qid, key_cmds(key), key.size(), [this, slot] {
+    const Cmd& c = cmds_[slot];
+    ftl_.exist(c.key.view(),
+               [this, slot](Status s, bool found) {
+                 complete(slot, s, ValueDesc{}, found);
+               },
+               c.nsid);
+  });
+}
+
+void KvsDevice::complete(u32 slot, Status s, ValueDesc v, bool found) {
+  Cmd& c = cmds_[slot];
+  c.st = s;
+  c.value = v;
+  c.found = found;
+  link_.complete_on(c.qid, v.size, [this, slot] { finish(slot); });
+}
+
+void KvsDevice::finish(u32 slot) {
+  Cmd& c = cmds_[slot];
+  const Status st = c.st;
+  const ValueDesc v = c.value;
+  const bool found = c.found;
+  StoreDone done = std::move(c.done);
+  RetrieveDone got = std::move(c.got);
+  ExistDone answered = std::move(c.answered);
+  cmds_.release(slot);  // before the callback, which may issue more commands
+  if (got) {
+    got(st, v);
+  } else if (answered) {
+    answered(st, found);
+  } else {
+    done(st);
+  }
 }
 
 void KvsDevice::delete_namespace(u8 nsid,

@@ -10,6 +10,8 @@
 #include <functional>
 #include <string_view>
 
+#include "common/inline_key.h"
+#include "common/slot_pool.h"
 #include "kvftl/kv_ftl.h"
 #include "nvme/nvme_link.h"
 
@@ -47,7 +49,7 @@ class KvsDevice {
   void remove(std::string_view key, StoreDone done, u8 nsid = 0,
               u32 qid = 0);
   /// kvs_exist_tuples (single key).
-  void exist(std::string_view key, ExistDone done, u8 nsid = 0);
+  void exist(std::string_view key, ExistDone done, u8 nsid = 0, u32 qid = 0);
   /// KVPs stored in one key space.
   [[nodiscard]] u64 kvp_count_in(u8 nsid) const {
     return ftl_.kvp_count_in(nsid);
@@ -66,6 +68,14 @@ class KvsDevice {
 
   void flush(sim::Task done) { ftl_.flush(std::move(done)); }
 
+  /// Power cut: commands in flight die with the event queue (their
+  /// completions were discarded), so their records go too.
+  void power_cycle() { cmds_.clear(); }
+  /// Occupancy of the pooled per-command state (crash-recovery checks).
+  [[nodiscard]] PoolUsage command_pool_usage() const {
+    return cmds_.usage();
+  }
+
   /// Host CPU consumed by the API + driver (submission + completions).
   [[nodiscard]] u64 host_cpu_ns() const {
     return api_cpu_ns_ + link_.host_cpu_ns();
@@ -74,6 +84,31 @@ class KvsDevice {
   [[nodiscard]] const kvftl::KvFtl& ftl() const { return ftl_; }
 
  private:
+  /// One command between submission and host completion: what the NVMe
+  /// command carries (the key is copied, since callers pass temporaries)
+  /// and the FTL's answer for the return leg. Exactly one callback is set.
+  struct Cmd {
+    InlineKey key;
+    ValueDesc value;  ///< store: the value; retrieve: the FTL's value
+    StoreDone done;   ///< store, remove
+    RetrieveDone got;
+    ExistDone answered;
+    Status st = Status::kOk;
+    bool found = false;
+    u8 stream = 0;
+    u8 nsid = 0;
+    u32 qid = 0;
+  };
+
+  /// Charge the API call and open a record for `key`.
+  u32 start(std::string_view key, u8 nsid, u32 qid);
+  /// The FTL finished command `slot`: post its completion (`v.size` bytes
+  /// of read data ride back over the link) on the command's queue.
+  void complete(u32 slot, Status s, ValueDesc v = {}, bool found = false);
+  /// Deliver the completion: release the record, then run the callback,
+  /// which may issue more commands.
+  void finish(u32 slot);
+
   [[nodiscard]] u32 key_cmds(std::string_view key) const {
     return nvme::kv_commands_for_key(link_.config(), (u32)key.size());
   }
@@ -83,6 +118,7 @@ class KvsDevice {
   kvftl::KvFtl& ftl_;
   KvsApiConfig cfg_;
   u64 api_cpu_ns_ = 0;
+  SlotPool<Cmd> cmds_;
 };
 
 }  // namespace kvsim::kvapi

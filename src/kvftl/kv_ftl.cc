@@ -20,28 +20,10 @@ struct Join {
   }
 };
 using JoinPtr = std::shared_ptr<Join>;
+// Host commands join in their pooled record (KvFtl::Cmd); a Join remains
+// only where a wave is not per op: GC erases, bucket iteration, mount.
 JoinPtr make_join(int n, sim::Task then) {
   return std::make_shared<Join>(Join{n, std::move(then)});
-}
-
-// Join that also accumulates a completion status: the first failure any
-// arm reports wins (later failures of an already-failed request drop).
-struct ReadJoin {
-  int remaining;
-  Status st = Status::kOk;
-  sim::Fn<void(Status)> then;
-  void fail(Status s) {
-    if (st == Status::kOk) st = s;
-  }
-  void arrive() {
-    if (--remaining == 0) then(st);
-  }
-};
-std::shared_ptr<ReadJoin> make_read_join(int n, sim::Fn<void(Status)> then) {
-  auto j = std::make_shared<ReadJoin>();
-  j->remaining = n;
-  j->then = std::move(then);
-  return j;
 }
 }  // namespace
 
@@ -200,16 +182,113 @@ u64 KvFtl::device_bytes_used() const {
 }
 
 // ---------------------------------------------------------------------------
+// Command records
+// ---------------------------------------------------------------------------
+//
+// A host command keeps its state in one SlotPool record from arrival to
+// completion, and every closure on its path captures only {this, slot},
+// so once the pool is warm a command allocates nothing. Early exits (busy
+// rejection, Bloom negative, Bloom false positive, read-cache hit) finish
+// through the same record. Any callback may start a command and grow the
+// pool, so no Cmd& is held across a call out of the FTL.
+
+u32 KvFtl::open_cmd() {
+  const u32 slot = cmds_.acquire();
+  Cmd& c = cmds_[slot];
+  c.st = Status::kOk;
+  c.value = ValueDesc{};
+  c.remaining = 1;
+  c.commit = false;
+  c.found = false;
+  c.fill_cache = false;
+  return slot;
+}
+
+bool KvFtl::busy_rejected(u32 slot) {
+  if (!faults_ || !faults_->host_busy()) return false;
+  ++stats_.busy_rejections;
+  answer_at(slot, eq_.now() + cfg_.dispatch_ns, Status::kDeviceBusy);
+  return true;
+}
+
+void KvFtl::arrive_at(u32 slot, TimeNs t) {
+  eq_.schedule_at(t, [this, slot] { arrive(slot); });
+}
+
+void KvFtl::answer_at(u32 slot, TimeNs t, Status st) {
+  cmds_[slot].st = st;
+  arrive_at(slot, t);
+}
+
+void KvFtl::fail(u32 slot, Status st) {
+  Status& cur = cmds_[slot].st;
+  if (cur == Status::kOk) cur = st;
+}
+
+void KvFtl::arrive(u32 slot) {
+  if (--cmds_[slot].remaining == 0) finish(slot);
+}
+
+void KvFtl::finish(u32 slot) {
+  Cmd& c = cmds_[slot];
+  if (c.commit) commit_store(c);
+  const Status st = c.st;
+  const ValueDesc v = c.value;
+  if (c.fill_cache && st == Status::kOk) read_cache_insert(c.khash, v.size);
+  const bool found = c.found;
+  StoreDone done = std::move(c.done);
+  RetrieveDone got = std::move(c.got);
+  ExistDone answered = std::move(c.answered);
+  cmds_.release(slot);  // before the callback, which may issue commands
+  if (got) {
+    got(st, v);
+  } else if (answered) {
+    answered(st, found);
+  } else {
+    done(st);
+  }
+}
+
+void KvFtl::commit_store(const Cmd& c) {
+  const u64 khash = c.khash;
+  BlobRec& blob = blob_table_.find_or_insert(khash);
+  // Re-decide new-vs-overwrite here: a concurrent store of the same fresh
+  // key may have landed while this one was in flight.
+  const bool was_new = blob.gen == 0;
+  if (!was_new) {
+    invalidate_blob(blob);
+    read_cache_evict(khash);
+  } else {
+    bloom_.insert(khash);
+    iters_.add(c.key.view(), c.nsid);
+    ++ns_kvp_counts_[c.nsid];
+  }
+  app_bytes_live_ += c.key.size() + c.value.size;
+  blob.value_bytes = c.value.size;
+  blob.key_bytes = (u16)c.key.size();
+  blob.vfp = c.value.fingerprint;
+  ++blob.gen;
+  if (cfg_.crash_tracking)
+    key_dir_[khash] = KeyDirEntry{std::string(c.key.view()), c.nsid};
+  blob.assign_chunks(chunks_for_blob(c.slots, cfg_.page_data_slots),
+                     ChunkRef{kPendingBlock, 0});
+  place_blob(khash, blob.gen, c.slots, c.stream);
+}
+
+// ---------------------------------------------------------------------------
 // Store
 // ---------------------------------------------------------------------------
 
 void KvFtl::store(std::string_view key, ValueDesc value, StoreDone done,
                   u8 stream, u8 nsid) {
-  if (busy_rejected(done)) return;
+  const u32 slot = open_cmd();
+  cmds_[slot].done = std::move(done);
+  if (busy_rejected(slot)) return;
   if (stream >= cfg_.write_streams) stream = (u8)(cfg_.write_streams - 1);
   if (key.size() < cfg_.min_key_bytes || key.size() > cfg_.max_key_bytes ||
       value.size > cfg_.max_value_bytes) {
-    done(Status::kInvalidArgument);
+    cmds_[slot].st = Status::kInvalidArgument;
+    finish(slot);
     return;
   }
   const u64 khash = hash64(key, nsid);
@@ -222,13 +301,15 @@ void KvFtl::store(std::string_view key, ValueDesc value, StoreDone done,
       is_new ? 0 : (u64)slots_for_value(existing->value_bytes, cfg_.slot_bytes);
   if (live_slots_ + slots - std::min<u64>(freed, live_slots_) >
       (u64)((double)data_slot_capacity() * cfg_.capacity_guard)) {
-    done(is_new ? Status::kCapacityLimit : Status::kDeviceFull);
+    cmds_[slot].st = is_new ? Status::kCapacityLimit : Status::kDeviceFull;
+    finish(slot);
     return;
   }
   // Physical exhaustion: garbage collection proved futile (everything
   // valid or structural waste regenerates) and the free pool is gone.
   if (gc_stuck_ && alloc_.free_blocks() <= gc_reserved_blocks_ + 1) {
-    done(Status::kDeviceFull);
+    cmds_[slot].st = Status::kDeviceFull;
+    finish(slot);
     return;
   }
 
@@ -246,35 +327,21 @@ void KvFtl::store(std::string_view key, ValueDesc value, StoreDone done,
   const IndexCost ic = is_new ? index_.on_insert(khash)
                               : index_.on_update(khash);
 
-  auto join = make_join(
-      2 + (int)ic.segment_reads,
-      [this, khash, key_copy = std::string(key), value, slots, nchunks, stream,
-       nsid, done = std::move(done)]() mutable {
-        BlobRec& blob = blob_table_.find_or_insert(khash);
-        // Re-decide new-vs-overwrite here: a concurrent store of the same
-        // fresh key may have landed while this one was in flight.
-        const bool was_new = blob.gen == 0;
-        if (!was_new) {
-          invalidate_blob(blob);
-          read_cache_evict(khash);
-        } else {
-          bloom_.insert(khash);
-          iters_.add(key_copy, nsid);
-          ++ns_kvp_counts_[nsid];
-        }
-        app_bytes_live_ += key_copy.size() + value.size;
-        blob.value_bytes = value.size;
-        blob.key_bytes = (u16)key_copy.size();
-        blob.vfp = value.fingerprint;
-        ++blob.gen;
-        if (cfg_.crash_tracking) key_dir_[khash] = KeyDirEntry{key_copy, nsid};
-        blob.assign_chunks(nchunks, ChunkRef{kPendingBlock, 0});
-        place_blob(khash, blob.gen, slots, stream);
-        done(Status::kOk);
-      });
-  buffer_.acquire((u64)slots * cfg_.slot_bytes, [join] { join->arrive(); });
-  eq_.schedule_at(t_cpu, [join] { join->arrive(); });
-  charge_index_cost(ic, join);
+  // The commit waits for the firmware critical path, the write-buffer
+  // grant and every index-level read.
+  Cmd& c = cmds_[slot];
+  c.key.assign(key);
+  c.value = value;
+  c.khash = khash;
+  c.slots = slots;
+  c.stream = stream;
+  c.nsid = nsid;
+  c.commit = true;
+  c.remaining = 2 + ic.segment_reads;
+  // May grant (and arrive) at once; the critical-path arrival is still due.
+  buffer_.acquire((u64)slots * cfg_.slot_bytes, [this, slot] { arrive(slot); });
+  arrive_at(slot, t_cpu);
+  charge_index_cost(ic, slot);
 }
 
 void KvFtl::place_blob(u64 khash, u32 gen, u32 total_slots, u8 stream) {
@@ -362,11 +429,7 @@ bool KvFtl::place_chunk(u64 khash, u8 chunk_idx, u16 slot_count, bool is_gc,
             br.key_bytes});
   }
 
-  if (lane.used_slots == cfg_.page_data_slots) {
-    seal_page(lane, is_gc);
-  } else if (!is_gc) {
-    arm_flush_timer(lane);
-  }
+  if (lane.used_slots == cfg_.page_data_slots) seal_page(lane, is_gc);
   return true;
 }
 
@@ -395,7 +458,6 @@ void KvFtl::seal_page(Lane& lane, bool is_gc) {
   }
   lane.used_slots = 0;
   lane.buffered_bytes = 0;
-  ++lane.flush_arm;
   if (++lane.next_page == geom_.pages_per_block) {
     block_state_[*lane.block] = kSealed;
     lane.block.reset();
@@ -421,17 +483,6 @@ void KvFtl::seal_page(Lane& lane, bool is_gc) {
         for (auto& w : waiters) w();
       }
     });
-  });
-}
-
-void KvFtl::arm_flush_timer(Lane& lane) {
-  if (cfg_.partial_flush_ns == 0) return;  // hold until full or flush()
-  const u64 arm = ++lane.flush_arm;
-  eq_.schedule_after(cfg_.partial_flush_ns, [this, &lane, arm] {
-    if (lane.flush_arm == arm && lane.block && lane.used_slots > 0) {
-      waste_slots_ += cfg_.page_data_slots - lane.used_slots;
-      seal_page(lane, false);
-    }
   });
 }
 
@@ -492,7 +543,9 @@ void KvFtl::read_cache_evict(u64 khash) {
 // ---------------------------------------------------------------------------
 
 void KvFtl::retrieve(std::string_view key, RetrieveDone done, u8 nsid) {
-  if (busy_rejected(done, ValueDesc{})) return;
+  const u32 slot = open_cmd();
+  cmds_[slot].got = std::move(done);
+  if (busy_rejected(slot)) return;
   const u64 khash = hash64(key, nsid);
   ++stats_.host_read_ops;
   const TimeNs t_disp = kv_core_.reserve(eq_.now(), cfg_.dispatch_ns);
@@ -501,33 +554,25 @@ void KvFtl::retrieve(std::string_view key, RetrieveDone done, u8 nsid) {
 
   if (!bloom_.may_contain(khash)) {
     ++bloom_fast_negatives_;
-    eq_.schedule_at(t_mgr, [done = std::move(done)]() mutable {
-      done(Status::kNotFound, ValueDesc{});
-    });
+    answer_at(slot, t_mgr, Status::kNotFound);
     return;
   }
 
   const IndexCost ic = index_.on_lookup(khash);
   const BlobRec* found = blob_table_.find(khash);
-  if (!found) {  // Bloom false positive
-    auto join = make_join(1 + (int)ic.segment_reads,
-                          [done = std::move(done)]() mutable {
-                            done(Status::kNotFound, ValueDesc{});
-                          });
-    eq_.schedule_at(t_mgr, [join] { join->arrive(); });
-    charge_index_cost(ic, join);
+  if (!found) {  // Bloom false positive: an empty answer after the walk
+    cmds_[slot].remaining = 1 + ic.segment_reads;
+    answer_at(slot, t_mgr, Status::kNotFound);
+    charge_index_cost(ic, slot);
     return;
   }
 
   const BlobRec& blob = *found;
-  const ValueDesc out{blob.value_bytes, blob.vfp};
+  cmds_[slot].value = ValueDesc{blob.value_bytes, blob.vfp};
   stats_.host_bytes_read += blob.value_bytes;
 
   if (read_cache_lookup(khash, blob.value_bytes)) {
-    eq_.schedule_at(t_mgr + cfg_.cache_hit_ns,
-                    [out, done = std::move(done)]() mutable {
-                      done(Status::kOk, out);
-                    });
+    answer_at(slot, t_mgr + cfg_.cache_hit_ns, Status::kOk);
     return;
   }
 
@@ -559,34 +604,36 @@ void KvFtl::retrieve(std::string_view key, RetrieveDone done, u8 nsid) {
   }
 
   // All flash chunks of the blob batch into one die-op completion: the
-  // host sees the value when its slowest chunk arrives either way.
-  auto join = make_read_join(
-      1 + (int)ic.segment_reads + (nreads == 0 ? 0 : 1) + buffered_chunks,
-      [this, khash, out, done = std::move(done)](Status st) mutable {
-        if (st == Status::kOk) read_cache_insert(khash, out.size);
-        done(st, out);
-      });
-  eq_.schedule_at(t_mgr, [join] { join->arrive(); });
-  charge_index_cost(ic, join);
+  // host sees the value when its slowest chunk arrives either way. A
+  // successful read fills the read cache before its callback runs.
+  Cmd& c = cmds_[slot];
+  c.khash = khash;
+  c.fill_cache = true;
+  c.remaining =
+      1 + ic.segment_reads + (nreads == 0 ? 0 : 1) + (u32)buffered_chunks;
+  arrive_at(slot, t_mgr);
+  charge_index_cost(ic, slot);
   if (nreads != 0)
     flash_.read_multi(
         reads, nreads,
-        [this, join](flash::OpStatus st, flash::PageId bad) {
+        [this, slot](flash::OpStatus st, flash::PageId bad) {
           if (st == flash::OpStatus::kUncorrectable) {
-            join->fail(Status::kMediaError);
+            fail(slot, Status::kMediaError);
             on_read_media_error(bad);
           } else if (st == flash::OpStatus::kTimeout) {
-            join->fail(Status::kTimeout);
+            fail(slot, Status::kTimeout);
             ++stats_.op_timeouts;
           }
-          join->arrive();
+          arrive(slot);
         });
   for (int i = 0; i < buffered_chunks; ++i)
-    eq_.schedule_after(cfg_.cache_hit_ns, [join] { join->arrive(); });
+    eq_.schedule_after(cfg_.cache_hit_ns, [this, slot] { arrive(slot); });
 }
 
 void KvFtl::remove(std::string_view key, StoreDone done, u8 nsid) {
-  if (busy_rejected(done)) return;
+  const u32 slot = open_cmd();
+  cmds_[slot].done = std::move(done);
+  if (busy_rejected(slot)) return;
   const u64 khash = hash64(key, nsid);
   const TimeNs t_disp = kv_core_.reserve(eq_.now(), cfg_.dispatch_ns);
   const TimeNs t_mgr = managers_[khash % managers_.size()].reserve(
@@ -594,16 +641,12 @@ void KvFtl::remove(std::string_view key, StoreDone done, u8 nsid) {
 
   if (!bloom_.may_contain(khash)) {
     ++bloom_fast_negatives_;
-    eq_.schedule_at(t_mgr, [done = std::move(done)]() mutable {
-      done(Status::kNotFound);
-    });
+    answer_at(slot, t_mgr, Status::kNotFound);
     return;
   }
   BlobRec* blob = blob_table_.find(khash);
   if (!blob) {
-    eq_.schedule_at(t_mgr, [done = std::move(done)]() mutable {
-      done(Status::kNotFound);
-    });
+    answer_at(slot, t_mgr, Status::kNotFound);
     return;
   }
 
@@ -615,35 +658,30 @@ void KvFtl::remove(std::string_view key, StoreDone done, u8 nsid) {
   iters_.remove(key, nsid);
   if (ns_kvp_counts_[nsid] > 0) --ns_kvp_counts_[nsid];
 
-  auto join = make_join(1 + (int)ic.segment_reads,
-                        [done = std::move(done)]() mutable {
-                          done(Status::kOk);
-                        });
-  eq_.schedule_at(t_mgr, [join] { join->arrive(); });
-  charge_index_cost(ic, join);
+  cmds_[slot].remaining = 1 + ic.segment_reads;
+  arrive_at(slot, t_mgr);
+  charge_index_cost(ic, slot);
 }
 
 void KvFtl::exist(std::string_view key, ExistDone done, u8 nsid) {
-  if (busy_rejected(done, false)) return;
+  const u32 slot = open_cmd();
+  cmds_[slot].answered = std::move(done);
+  if (busy_rejected(slot)) return;
   const u64 khash = hash64(key, nsid);
   const TimeNs t_disp = kv_core_.reserve(eq_.now(), cfg_.dispatch_ns);
   const TimeNs t_mgr = managers_[khash % managers_.size()].reserve(
       t_disp, cfg_.key_handling_ns);
   if (!bloom_.may_contain(khash)) {
     ++bloom_fast_negatives_;
-    eq_.schedule_at(t_mgr, [done = std::move(done)]() mutable {
-      done(Status::kOk, false);
-    });
+    answer_at(slot, t_mgr, Status::kOk);
     return;
   }
   const IndexCost ic = index_.on_lookup(khash);
-  const bool found = blob_table_.contains(khash);
-  auto join = make_join(1 + (int)ic.segment_reads,
-                        [found, done = std::move(done)]() mutable {
-                          done(Status::kOk, found);
-                        });
-  eq_.schedule_at(t_mgr, [join] { join->arrive(); });
-  charge_index_cost(ic, join);
+  Cmd& c = cmds_[slot];
+  c.found = blob_table_.contains(khash);
+  c.remaining = 1 + ic.segment_reads;
+  arrive_at(slot, t_mgr);
+  charge_index_cost(ic, slot);
 }
 
 // ---------------------------------------------------------------------------
@@ -715,23 +753,20 @@ flash::PageId KvFtl::next_index_page() {
                        (u32)((i / nblocks) % geom_.pages_per_block));
 }
 
-template <typename Latch>
-void KvFtl::charge_index_cost(const IndexCost& cost,
-                              const std::shared_ptr<Latch>& latch) {
+void KvFtl::charge_index_cost(const IndexCost& cost, u32 slot) {
   // A multi-level walk is serial: each level's read must finish before
-  // the next level's location is known. The caller's join still receives
+  // the next level's location is known. The command's join still receives
   // one arrival per read.
-  if (cost.segment_reads > 0) walk_index_levels(latch, cost.segment_reads);
+  if (cost.segment_reads > 0) walk_index_levels(slot, cost.segment_reads);
   charge_index_writes(cost.segment_writes);
 }
 
-template <typename Latch>
-void KvFtl::walk_index_levels(std::shared_ptr<Latch> latch, u32 levels) {
+void KvFtl::walk_index_levels(u32 slot, u32 levels) {
   flash_.read_page(next_index_page(), cfg_.index.segment_bytes,
-                   [this, latch = std::move(latch), levels]() mutable {
-                     latch->arrive();
-                     if (levels > 1)
-                       walk_index_levels(std::move(latch), levels - 1);
+                   [this, slot, levels] {
+                     // Not the last arrival while a level is left to read.
+                     arrive(slot);
+                     if (levels > 1) walk_index_levels(slot, levels - 1);
                    });
 }
 
@@ -994,6 +1029,7 @@ void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
   recovery_pending_.clear();
   outstanding_programs_ = 0;
   drain_waiters_.clear();
+  cmds_.clear();  // host commands die unanswered with the event queue
   index_write_accum_ = 0;
   index_page_rr_ = 0;
   gc_running_ = false;
@@ -1189,11 +1225,6 @@ void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
     flash_.read_multi(scan.data(), (u32)scan.size(), [join] { join->arrive(); });
 }
 
-bool KvFtl::probe_durable(std::string_view key, u64 vfp, u8 nsid) const {
-  const BlobRec* blob = blob_table_.find(hash64(key, nsid));
-  return blob && blob->vfp == vfp;
-}
-
 // ---------------------------------------------------------------------------
 // Fault recovery
 // ---------------------------------------------------------------------------
@@ -1266,7 +1297,6 @@ void KvFtl::close_lane(Lane& lane, flash::BlockId b, bool is_gc) {
   lane.used_slots = 0;
   lane.buffered_bytes = 0;
   lane.staged.clear();  // the open page will never program
-  ++lane.flush_arm;  // cancel any pending partial-flush timer
   lane.block.reset();
   // The open page will never program; re-drive its chunks after the lane
   // has let go of the block so placement cannot target it again.

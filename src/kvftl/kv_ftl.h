@@ -32,6 +32,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/inline_key.h"
+#include "common/slot_pool.h"
 #include "flash/controller.h"
 #include "kvftl/blob_table.h"
 #include "kvftl/bloom.h"
@@ -84,7 +86,6 @@ struct KvFtlConfig {
   u32 gc_lanes = 8;
   bool track_iterator_keys = true;
   double capacity_guard = 0.98;  ///< reject stores past this slot fraction
-  TimeNs partial_flush_ns = 0;  // 0 = hold partial pages until full/flush
 
   /// Maintain per-page OOB metadata for the power-loss crash/recovery
   /// model (see power_fail_and_recover). Off by default: the store path
@@ -183,19 +184,18 @@ class KvFtl {
 
   /// Power-loss cut at the current simulation time (requires
   /// crash_tracking; the caller discards the event queue first). All
-  /// volatile state — write buffer, open lanes, in-flight programs, the
-  /// RAM blob table, Bloom filter, iterator buckets, and the DRAM index —
-  /// is dropped; the store is rebuilt from per-page OOB blob descriptors:
+  /// volatile state — write buffer, open lanes, in-flight programs and
+  /// host commands, the RAM blob table, Bloom filter, iterator buckets,
+  /// and the DRAM index — is dropped; the store is rebuilt from per-page OOB blob descriptors:
   /// a KVP recovers at its highest generation whose chunks are all
   /// durable (a torn multi-chunk blob falls back to the previous complete
   /// generation, or is lost). `done` runs when mount I/O and firmware
   /// rebuild time complete. Counters are filled synchronously.
   void power_fail_and_recover(DeviceRecovery& out, sim::Task done);
-
-  /// Crash-recovery probe (no timing, no state change): true when `key`
-  /// currently resolves to a blob with this value fingerprint.
-  [[nodiscard]] bool probe_durable(std::string_view key, u64 vfp,
-                                   u8 nsid = 0) const;
+  /// Occupancy of the pooled per-command state (crash-recovery checks).
+  [[nodiscard]] PoolUsage command_pool_usage() const {
+    return cmds_.usage();
+  }
 
   /// Arm (plan.enabled) or disarm fault injection. Disarmed, no injector
   /// exists and the flash hot path is exactly the pre-fault one. Arming
@@ -233,7 +233,6 @@ class KvFtl {
     u32 next_page = 0;
     u32 used_slots = 0;       // slots appended to the open page
     u64 buffered_bytes = 0;   // host bytes awaiting this page's program
-    u64 flush_arm = 0;
     // Crash tracking: OOB blob descriptors of the open page, captured at
     // placement time. Handed to the controller at seal.
     std::vector<flash::OobEntry> staged;
@@ -247,28 +246,66 @@ class KvFtl {
     u16 slot_count;
   };
 
+  /// One host command from arrival to completion. Its join counts the
+  /// arrivals still due (manager slot, write-buffer grant, index-level
+  /// reads, data reads); `st` is the answer so far, where the first
+  /// failure wins. A store keeps its commit inputs here until the last
+  /// arrival. Exactly one callback is set.
+  struct Cmd {
+    StoreDone done;  ///< store, remove
+    RetrieveDone got;
+    ExistDone answered;
+    InlineKey key;    ///< store: the key (iterator bucket, key directory)
+    ValueDesc value;  ///< store: the value; retrieve: the value returned
+    u64 khash = 0;
+    u32 slots = 0;    ///< store: slots the value packs into
+    u32 remaining = 0;
+    Status st = Status::kOk;
+    u8 stream = 0;
+    u8 nsid = 0;
+    bool commit = false;      ///< store: commit at the last arrival
+    bool found = false;       ///< exist: the answer
+    bool fill_cache = false;  ///< retrieve: insert into the read cache on kOk
+  };
+
+  // --- command records ---
+  /// Open a record; the caller sets its callback.
+  u32 open_cmd();
+  /// True (and the command answers kDeviceBusy after the dispatch time)
+  /// when the front end is inside a stall-induced busy window.
+  [[nodiscard]] bool busy_rejected(u32 slot);
+  /// Schedule one arrival at command `slot`'s join at `t`.
+  void arrive_at(u32 slot, TimeNs t);
+  /// Early exit: answer `st` at `t`, the command's last arrival.
+  void answer_at(u32 slot, TimeNs t, Status st);
+  /// Record the first failure of command `slot`.
+  void fail(u32 slot, Status st);
+  /// One arrival at command `slot`'s join; the last one finishes it.
+  void arrive(u32 slot);
+  /// Run a store's commit, release the record, then run the callback,
+  /// which may issue more commands.
+  void finish(u32 slot);
+  /// A store's commit while its record is live: blob table, Bloom filter,
+  /// iterator bucket, key directory and placement.
+  void commit_store(const Cmd& c);
+
   // --- write path ---
   void place_blob(u64 khash, u32 gen, u32 total_slots, u8 stream);
   bool place_chunk(u64 khash, u8 chunk_idx, u16 slot_count, bool is_gc,
                    u8 stream);
   bool ensure_block(Lane& lane, bool is_gc);
   void seal_page(Lane& lane, bool is_gc);
-  void arm_flush_timer(Lane& lane);
   void invalidate_blob(BlobRec& blob);
 
   // --- index flash traffic ---
   flash::PageId next_index_page();
   /// Issue the flash operations implied by an IndexCost. Each read of
-  /// the serial level walk arrives once at the caller's join `latch`
+  /// the serial level walk arrives once at command `slot`'s join
   /// (critical path); write-backs batch into async index-log programs.
-  template <typename Latch>
-  void charge_index_cost(const IndexCost& cost,
-                         const std::shared_ptr<Latch>& latch);
+  void charge_index_cost(const IndexCost& cost, u32 slot);
   /// Read the remaining `levels` of a walk one after another; each read
-  /// arrives at `latch` before the next is issued. Allocation-free: the
-  /// completion fits sim::Fn's inline buffer.
-  template <typename Latch>
-  void walk_index_levels(std::shared_ptr<Latch> latch, u32 levels);
+  /// arrives at command `slot` before the next is issued.
+  void walk_index_levels(u32 slot, u32 levels);
   /// Append `segment_writes` dirty-segment deltas to the index log,
   /// programming each page as it fills.
   void charge_index_writes(u32 segment_writes);
@@ -281,19 +318,6 @@ class KvFtl {
   void on_block_freed();
 
   // --- fault recovery ---
-  /// True (and the command was answered kDeviceBusy with `extra...` as
-  /// the remaining completion arguments) when the front end is inside a
-  /// stall-induced busy window.
-  template <typename D, typename... Extra>
-  [[nodiscard]] bool busy_rejected(D& done, Extra... extra) {
-    if (!faults_ || !faults_->host_busy()) return false;
-    ++stats_.busy_rejections;
-    eq_.schedule_after(cfg_.dispatch_ns,
-                       [done = std::move(done), extra...]() mutable {
-                         done(Status::kDeviceBusy, extra...);
-                       });
-    return true;
-  }
   /// Re-place every valid chunk recorded on page `p` through a GC lane
   /// (media scrub / failed-program re-drive), charging the same index
   /// relocation delta a GC migration pays. Chunks that find no block
@@ -376,6 +400,10 @@ class KvFtl {
 
   u64 outstanding_programs_ = 0;
   std::vector<sim::Task> drain_waiters_;
+
+  // Host commands in flight (a SlotPool: every closure on the command
+  // path captures only {this, slot}).
+  SlotPool<Cmd> cmds_;
 
   // Fault injection (null unless a plan is armed) and chunks whose
   // recovery re-placement is waiting for a free block. Recovery chunks

@@ -156,12 +156,6 @@ class NvmeLink {
     }
   }
 
-  /// Deliver an operation to the device on submission queue 0 (the only
-  /// queue in the default configuration). See submit_on.
-  void submit(u32 ncmds, u64 payload_bytes, sim::Task at_device) {
-    submit_on(0, ncmds, payload_bytes, std::move(at_device));
-  }
-
   /// Deliver an operation to the device on queue `qid` (clamped to the
   /// configured queue count): `ncmds` command fetches plus
   /// `payload_bytes` over the bus; `at_device` runs when the device may
@@ -217,12 +211,7 @@ class NvmeLink {
   }
 
   /// Deliver a completion (optionally with read payload) back to the host
-  /// on completion queue 0.
-  void complete(u64 payload_bytes, sim::Task at_host) {
-    complete_on(0, payload_bytes, std::move(at_host));
-  }
-
-  /// Completion on queue `qid`. CQ delivery is device-initiated DMA and
+  /// on completion queue `qid`. CQ delivery is device-initiated DMA and
   /// is not arbitrated (NVMe arbitration governs SQ fetch only); the
   /// payload still shares the PCIe link with submissions.
   void complete_on(u32 qid, u64 payload_bytes, sim::Task at_host) {

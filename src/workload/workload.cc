@@ -21,13 +21,19 @@ const char* to_string(Pattern p) {
 }
 
 std::string make_key(u64 id, u32 key_bytes) {
-  if (key_bytes < 4) key_bytes = 4;
-  std::string key(key_bytes, '0');
+  InlineKey key;
+  make_key(id, key_bytes, key);
+  return std::string(key.view());
+}
+
+void make_key(u64 id, u32 key_bytes, InlineKey& out) {
+  key_bytes = std::max<u32>(key_bytes, 4);
+  char* key = out.resize(key_bytes);
   key[0] = 'k';
-  // Fill digits right-to-left.
-  for (u32 pos = key_bytes; pos-- > 1 && id > 0; id /= 10)
-    key[pos] = (char)('0' + id % 10);
-  return key;
+  // Fill digits right-to-left, then the zero padding.
+  u32 pos = key_bytes;
+  for (; pos > 1 && id > 0; id /= 10) key[--pos] = (char)('0' + id % 10);
+  std::fill(key + 1, key + pos, '0');
 }
 
 u64 value_fingerprint(u64 id, u64 version) {

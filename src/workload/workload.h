@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/inline_key.h"
 #include "common/rng.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
@@ -37,6 +38,11 @@ enum class OpType { kInsert, kUpdate, kRead, kScan, kDelete, kExist };
 /// that overflow the digit budget wrap (documented: key spaces in the
 /// experiments stay well below the budget).
 std::string make_key(u64 id, u32 key_bytes);
+
+/// Write make_key(id, key_bytes) into `out`, which ends up holding
+/// exactly the key; it allocates only for a key past InlineKey's inline
+/// size.
+void make_key(u64 id, u32 key_bytes, InlineKey& out);
 
 /// Deterministic value fingerprint for (key id, version).
 u64 value_fingerprint(u64 id, u64 version);

@@ -354,12 +354,14 @@ TEST(CrashRecovery, DrainWaitsOutRetryBackoffWindows) {
 
 // --- pooled per-command state across a cut ---------------------------------
 
-/// Fill `keys` keys and drain, run a burst of reads at kQd cut by a power
-/// loss after `cut` event steps, recover, run a second burst to the end,
-/// and drain. Returns `live_records()` at the cut.
+/// Fill `keys` keys and drain, run a burst of reads (every other op an
+/// overwrite when `with_stores`) at kQd cut by a power loss after `cut`
+/// event steps, recover, run a second burst to the end, and drain.
+/// Returns `live_records()` at the cut.
 template <typename Bed>
 bool reads_across_a_cut(Bed& bed, u64 keys, u64 cut,
-                        const std::function<bool()>& live_records) {
+                        const std::function<bool()>& live_records,
+                        bool with_stores = false) {
   fill_and_drain(bed, keys);
 
   Rng rng(5);
@@ -367,9 +369,15 @@ bool reads_across_a_cut(Bed& bed, u64 keys, u64 cut,
   for (const u64 cut_after : {cut, u64{0}}) {
     u64 issued = 0, inflight = 0, steps = 0;
     auto issue = [&] {
-      for (; inflight < kQd && issued < 2000; ++issued, ++inflight)
-        bed.retrieve(wl::make_key(rng.below(keys), kKeyBytes),
-                     [&inflight](Status, ValueDesc) { --inflight; });
+      for (; inflight < kQd && issued < 2000; ++issued, ++inflight) {
+        const std::string key = wl::make_key(rng.below(keys), kKeyBytes);
+        if (with_stores && issued % 2 == 1) {
+          bed.store(key, ValueDesc{kValueBytes, issued},
+                    [&inflight](Status) { --inflight; });
+        } else {
+          bed.retrieve(key, [&inflight](Status, ValueDesc) { --inflight; });
+        }
+      }
     };
     issue();
     while (bed.eq().step()) {
@@ -379,6 +387,10 @@ bool reads_across_a_cut(Bed& bed, u64 keys, u64 cut,
         break;
       }
       issue();
+    }
+    if (cut_after == 0) {  // the burst after the mount runs to the end
+      EXPECT_EQ(issued, 2000u);
+      EXPECT_EQ(inflight, 0u);
     }
   }
   bool drained = false;
@@ -415,6 +427,23 @@ TEST(CrashRecovery, PowerLossReleasesPooledReadStateOnLsmBed) {
   EXPECT_LE(gets.size, kQd);  // one lookup per host read in flight
   expect_pools_empty(bed->device().command_pool_usage(),
                      bed->ftl().read_pool_usage());
+}
+
+// The KV API and the KV-FTL each keep a command's state in a pooled
+// record; stores hold theirs from arrival to commit.
+TEST(CrashRecovery, PowerLossReleasesPooledCommandStateOnKvssdBed) {
+  auto bed = std::unique_ptr<KvssdBed>(
+      static_cast<KvssdBed*>(make_bed(kKvssd).release()));
+  const bool live = reads_across_a_cut(
+      *bed, 600, 300,
+      [&] {
+        return bed->device().command_pool_usage().live > 0 &&
+               bed->ftl().command_pool_usage().live > 0;
+      },
+      /*with_stores=*/true);
+  EXPECT_TRUE(live) << "a pool held no record at the cut";
+  expect_pools_empty(bed->device().command_pool_usage(),
+                     bed->ftl().command_pool_usage());
 }
 
 TEST(CrashRecovery, PowerLossReleasesPooledReadStateOnHashKvBed) {

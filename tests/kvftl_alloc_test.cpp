@@ -1,17 +1,18 @@
-// Allocation-regression tests for the KV-FTL command path.
+// Allocation-regression tests for the KV-SSD command path.
 //
-// A counting global allocator pins how many heap allocations one firmware
-// command costs once the FTL's containers have warmed up: the blob table,
-// index segment cache and buffered-page flags are flat, the index level
-// walk rides sim::Fn's inline buffer, and small-blob reads collect their
-// page list inline. A count that grows means a per-op allocation crept
-// back into the hot path.
+// A counting global allocator pins how many heap allocations one command
+// costs once the containers have warmed up: the blob table, index segment
+// cache and buffered-page flags are flat, small-blob reads collect their
+// page list inline, and the KV API and the FTL keep each command in a
+// pooled record whose closures capture only {this, slot}. A count that
+// grows means a per-op allocation crept back into the hot path.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <new>
 #include <string>
 
+#include "harness/runner.h"
 #include "harness/stacks.h"
 #include "kvftl/kv_ftl.h"
 
@@ -41,11 +42,10 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace kvsim::kvftl {
 namespace {
 
-// Per-command ceilings. Both commands allocate their join latch and the
-// join's completion closure (which owns the host callback, so it exceeds
-// sim::Fn's inline buffer); a store's closure also owns the key bytes.
-constexpr unsigned long long kRetrieveAllocs = 2;
-constexpr unsigned long long kStoreAllocs = 3;
+// Per-command ceilings: a warm command keeps its join, callback and key in
+// a pooled record, so it allocates nothing.
+constexpr unsigned long long kRetrieveAllocs = 0;
+constexpr unsigned long long kStoreAllocs = 0;
 
 struct Bed {
   ssd::SsdConfig dev;
@@ -173,13 +173,111 @@ TEST(KvFtlAllocation, IndexMissWalkAddsNoAllocation) {
 namespace kvsim::harness {
 namespace {
 
-// Once warm, a retrieve through the KV bed (pooled host-op record, retry
-// check) costs no allocation beyond the device command beneath it.
-TEST(KvFtlAllocation, BedRetrieveAddsNothingToTheDeviceCommand) {
+KvssdBedConfig small_kvssd() {
   KvssdBedConfig c;
   c.dev = kvftl::Bed::device();
   c.ftl = kvftl::resident_index();
-  KvssdBed bed(c);
+  return c;
+}
+
+// The KV API's four commands, warm, through the NVMe link and the FTL:
+// the device record holds the key copy, the callback and the FTL's answer
+// for the return leg, so no command allocates.
+TEST(KvFtlAllocation, WarmDeviceCommandsAllocateNothing) {
+#if KVSIM_AUDIT
+  GTEST_SKIP() << "the shadow log auditor allocates per chunk placement";
+#endif
+  KvssdBed bed(small_kvssd());
+  kvapi::KvsDevice& dev = bed.device();
+  auto count = [&](auto issue) {
+    Status out = Status::kIoError;
+    const auto before = g_allocs;
+    issue(out);
+    bed.eq().run();
+    EXPECT_EQ(out, Status::kOk);
+    return g_allocs - before;
+  };
+  auto store = [&](const std::string& k) {
+    return count([&](Status& out) {
+      dev.store(k, ValueDesc{KiB, 7}, [&out](Status s) { out = s; });
+    });
+  };
+  auto get = [&](const std::string& k) {
+    return count([&](Status& out) {
+      dev.retrieve(k, [&out](Status s, ValueDesc) { out = s; });
+    });
+  };
+  auto exist = [&](const std::string& k) {
+    return count([&](Status& out) {
+      dev.exist(k, [&out](Status s, bool found) {
+        out = found ? s : Status::kNotFound;
+      });
+    });
+  };
+  auto remove = [&](const std::string& k) {
+    return count([&](Status& out) {
+      dev.remove(k, [&out](Status s) { out = s; });
+    });
+  };
+  for (u64 i = 0; i < 128; ++i) store(kvftl::Bed::key(i));
+  // Warm-up: overwrites grow the open blocks' record lists past what the
+  // measured ones append; every other command runs once.
+  for (int round = 0; round < 300; ++round) store(kvftl::Bed::key(round % 8));
+  get(kvftl::Bed::key(0));
+  exist(kvftl::Bed::key(0));
+  remove(kvftl::Bed::key(127));
+  for (u64 i = 0; i < 48; ++i) {
+    const std::string k = kvftl::Bed::key(i % 8);
+    EXPECT_EQ(store(k), 0u) << "store " << i;
+    EXPECT_EQ(get(k), 0u) << "retrieve " << i;
+    EXPECT_EQ(exist(k), 0u) << "exist " << i;
+  }
+  for (u64 i = 64; i < 112; ++i)
+    EXPECT_EQ(remove(kvftl::Bed::key(i)), 0u) << "remove " << i;
+}
+
+// The runner formats each op's key inline and its completion closures
+// fit sim::Fn, so once the pools are warm a run's allocations are its
+// fixed setup: N ops cost what 2N ops cost. (Telemetry is off: its slices
+// grow with simulated time, not with ops; both runs fit in one 100 ms
+// bandwidth window.)
+TEST(KvFtlAllocation, WarmRunMixAllocatesNothingPerOp) {
+#if KVSIM_AUDIT
+  GTEST_SKIP() << "the shadow log auditor allocates per chunk placement";
+#endif
+  KvssdBed bed(small_kvssd());
+  fill_stack(bed, 512, 16, KiB);
+  TimeNs elapsed = 0;
+  auto run = [&](u64 ops) {
+    wl::WorkloadSpec s;
+    s.num_ops = ops;
+    s.key_space = 512;
+    s.key_bytes = 16;
+    s.value_bytes = KiB;
+    s.mix = wl::OpMix{0, 0.5, 0.5, 0};
+    s.queue_depth = 8;
+    RunOptions opts;
+    opts.telemetry = false;
+    const auto before = g_allocs;
+    const RunResult r = run_workload(bed, s, opts);
+    EXPECT_EQ(r.ops, ops);
+    elapsed = r.elapsed;
+    return g_allocs - before;
+  };
+  // Warm-up: until GC has erased as many blocks as the device has, so
+  // the pools and every block's record list are at their steady size.
+  while (bed.flash().stats().block_erases <
+         kvftl::Bed::device().geometry.total_blocks())
+    run(8000);
+  const auto n = run(1000);
+  EXPECT_EQ(run(2000), n) << "the run allocated per op";
+  EXPECT_LT(elapsed, 100 * kMs);
+}
+
+// Once warm, a retrieve through the KV bed (pooled host-op record, retry
+// check) costs no allocation beyond the device command beneath it.
+TEST(KvFtlAllocation, BedRetrieveAddsNothingToTheDeviceCommand) {
+  KvssdBed bed(small_kvssd());
   for (u64 i = 0; i < 64; ++i)
     bed.store(kvftl::Bed::key(i), ValueDesc{4 * KiB, i + 1}, [](Status) {});
   bed.drain([] {});

@@ -37,10 +37,10 @@ TEST(NvmeLink, SubmissionCostScalesWithCommands) {
   NvmeConfig cfg;
   NvmeLink link(eq, cfg);
   TimeNs one_cmd = 0, two_cmd = 0;
-  link.submit(1, 0, [&] { one_cmd = eq.now(); });
+  link.submit_on(0, 1, 0, [&] { one_cmd = eq.now(); });
   eq.run();
   const TimeNs base = eq.now();
-  link.submit(2, 0, [&] { two_cmd = eq.now() - base; });
+  link.submit_on(0, 2, 0, [&] { two_cmd = eq.now() - base; });
   eq.run();
   EXPECT_GT(two_cmd, one_cmd);
   EXPECT_EQ(link.commands_issued(), 3u);
@@ -51,12 +51,12 @@ TEST(NvmeLink, PayloadTransfersOnSharedBus) {
   NvmeConfig cfg;
   NvmeLink link(eq, cfg);
   TimeNs small = 0;
-  link.submit(1, 4 * KiB, [&] { small = eq.now(); });
+  link.submit_on(0, 1, 4 * KiB, [&] { small = eq.now(); });
   eq.run();
   sim::EventQueue eq2;
   NvmeLink link2(eq2, cfg);
   TimeNs large = 0;
-  link2.submit(1, 1 * MiB, [&] { large = eq2.now(); });
+  link2.submit_on(0, 1, 1 * MiB, [&] { large = eq2.now(); });
   eq2.run();
   EXPECT_GT(large, small + 100 * kUs);  // 1 MiB at 3.2 GB/s ~ 328 us
 }
@@ -67,7 +67,7 @@ TEST(NvmeLink, ConcurrentSubmissionsSerializeOnCommandProcessor) {
   NvmeLink link(eq, cfg);
   std::vector<TimeNs> arrivals;
   for (int i = 0; i < 8; ++i)
-    link.submit(1, 0, [&] { arrivals.push_back(eq.now()); });
+    link.submit_on(0, 1, 0, [&] { arrivals.push_back(eq.now()); });
   eq.run();
   for (size_t i = 1; i < arrivals.size(); ++i)
     EXPECT_GT(arrivals[i], arrivals[i - 1]);
@@ -77,8 +77,8 @@ TEST(NvmeLink, HostCpuAccounted) {
   sim::EventQueue eq;
   NvmeConfig cfg;
   NvmeLink link(eq, cfg);
-  link.submit(2, 0, [] {});
-  link.complete(0, [] {});
+  link.submit_on(0, 2, 0, [] {});
+  link.complete_on(0, 0, [] {});
   eq.run();
   EXPECT_EQ(link.host_cpu_ns(),
             2 * cfg.host_submit_ns + cfg.completion_ns);
@@ -89,7 +89,7 @@ TEST(NvmeLink, CompletionCarriesReadPayload) {
   NvmeConfig cfg;
   NvmeLink link(eq, cfg);
   TimeNs t = 0;
-  link.complete(1 * MiB, [&] { t = eq.now(); });
+  link.complete_on(0, 1 * MiB, [&] { t = eq.now(); });
   eq.run();
   EXPECT_GT(t, 300 * kUs);
 }
@@ -224,7 +224,7 @@ TEST(NvmeLink, BusTransferRoundsUp) {
   EXPECT_EQ(link.xfer_ns(64), 20);  // exact multiples stay exact
   // And the rounding is what the completion path actually charges.
   TimeNs t = 0;
-  link.complete(57, [&] { t = eq.now(); });
+  link.complete_on(0, 57, [&] { t = eq.now(); });
   eq.run();
   EXPECT_EQ(t, 18);
 }
