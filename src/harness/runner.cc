@@ -468,6 +468,11 @@ MixResult run_mix(KvStack& stack, const wl::TenantMix& mix,
     stack.drain([&drained] { drained = true; });
     while (!drained && eq.step()) {
     }
+    // The queue ran dry with the drain still waiting: it never will run,
+    // and its callback would outlive `drained`.
+    if (!drained)
+      throw std::logic_error(std::string("run_mix: ") + stack.name() +
+                             " never called back from drain");
   }
   // Close the trailing partial window (after the drain, so background GC
   // and flush traffic lands in the timeline too).

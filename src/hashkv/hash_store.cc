@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
+
+#include "common/hash.h"
 
 namespace kvsim::hashkv {
 
@@ -42,6 +45,59 @@ u64 HashKvStore::device_bytes_used() const {
 }
 
 // ---------------------------------------------------------------------------
+// Records and key lists
+// ---------------------------------------------------------------------------
+//
+// Every closure on the op, flush and defrag paths captures only
+// {this, slot} or {this, block}, so it fits sim::Fn's inline buffer: once
+// the pools and lists have grown to their peak, an op allocates nothing.
+// A callback may issue ops and grow the pools, so records are re-indexed
+// after every call out of the store.
+
+u32 HashKvStore::id_for(std::string_view key, u64 h) {
+  u32 id = find(key, h);
+  if (id != KeyIndex::kNone) return id;
+  if (free_ids_.empty()) {
+    id = (u32)recs_.size();
+    recs_.emplace_back();
+  } else {
+    id = free_ids_.back();
+    free_ids_.pop_back();
+  }
+  recs_[id].key.assign(key);  // deleted and unreferenced, new or recycled
+  index_.insert(h, id);
+  return id;
+}
+
+void HashKvStore::unref(u32 id) {
+  Rec& r = recs_[id];
+  if (--r.refs == 0 && r.wb == kDeleted) forget(id, hash64(r.key));
+}
+
+void HashKvStore::forget(u32 id, u64 h) {
+  index_.erase(h, id);
+  free_ids_.push_back(id);
+}
+
+void HashKvStore::clear_ids(std::vector<u32>& ids) {
+  for (u32 id : ids) unref(id);
+  ids.clear();
+}
+
+void HashKvStore::finish(u32 slot, Status s) {
+  Op& op = ops_[slot];
+  const ValueDesc v = op.value;
+  PutDone done = std::move(op.done);
+  GetDone got = std::move(op.got);
+  ops_.release(slot);  // before the callback, which may issue more ops
+  if (got) {
+    got(s, v);
+  } else {
+    done(s);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Write path
 // ---------------------------------------------------------------------------
 
@@ -63,125 +119,135 @@ void HashKvStore::put(std::string_view key, ValueDesc value, PutDone done) {
   cpu_ns_ += cost;
   const TimeNs t_cpu = fg_cpu_.reserve(eq_.now(), cost);
 
-  // A full buffer needs a free write block to flush into.
-  if (buf_used_ + rec_size > cfg_.write_block_bytes &&
-      free_blocks_.empty()) {
+  // Admit the put only if the active buffer keeps a free write block to
+  // flush into afterwards. Then a drain can always flush, and so can a
+  // defrag: its re-appends (less than a block) flush at most once, and it
+  // frees its own block right after.
+  const bool flushes = buf_used_ + rec_size > cfg_.write_block_bytes;
+  if (free_blocks_.size() < (flushes ? 2u : 1u)) {
     done(Status::kDeviceFull);
     return;
   }
 
-  const std::string k(key);
-  auto it = index_.find(k);
-  bool old_on_device = false;
-  Rec old{};
-  if (it != index_.end()) {
-    old = it->second;
-    old_on_device = old.wb != kBufferBlock;
-    invalidate(k, it->second);
-    app_bytes_live_ -=
-        std::min<u64>(app_bytes_live_, k.size() + it->second.vsize);
+  const u32 id = id_for(key, hash64(key));
+  const Rec& old = recs_[id];
+  const u32 old_wb = old.wb;
+  const u32 old_size = old.size;
+  const u32 old_vsize = old.vsize;
+  const auto [first, span] = sector_span(old.offset, old.size);
+  if (old_wb != kDeleted) {
+    invalidate(old_wb, old_size);
+    app_bytes_live_ -= std::min<u64>(app_bytes_live_, key.size() + old_vsize);
+  } else {
+    ++live_records_;
   }
-  app_bytes_live_ += k.size() + value.size;
-  append_record(k, value, nullptr, false);
+  app_bytes_live_ += key.size() + value.size;
+  append_record(id, value, false);
 
-  if (cfg_.read_before_update && old_on_device) {
+  const u32 slot = ops_.acquire();
+  ops_[slot].done = std::move(done);
+  if (cfg_.read_before_update && old_wb != kDeleted &&
+      old_wb != kBufferBlock) {
     // Update path: fetch the old record (bin merge / generation check)
     // before acknowledging the write.
-    const u32 sector = cfg_.read_sector_bytes;
-    const u32 first = old.offset / sector * sector;
-    const u32 span =
-        (old.offset + old.size - first + sector - 1) / sector * sector;
-    dev_.read(wb_lba(old.wb, first), span,
-              [t_cpu, this, done = std::move(done)](Status, u64) mutable {
-                // Ack once both the CPU slot and the read are complete; the
-                // read may finish after t_cpu, so never target the past.
-                eq_.schedule_at(std::max(t_cpu, eq_.now()),
-                                [done = std::move(done)]() mutable {
-                                  done(Status::kOk);
-                                });
-              });
+    ops_[slot].t_cpu = t_cpu;
+    dev_.read(wb_lba(old_wb, first), span, [this, slot](Status, u64) {
+      // Ack once both the CPU slot and the read are complete; the read
+      // may finish after t_cpu, so never target the past.
+      eq_.schedule_at(std::max(ops_[slot].t_cpu, eq_.now()),
+                      [this, slot] { finish(slot, Status::kOk); });
+    });
     return;
   }
-  eq_.schedule_at(t_cpu,
-                  [done = std::move(done)]() mutable { done(Status::kOk); });
+  eq_.schedule_at(t_cpu, [this, slot] { finish(slot, Status::kOk); });
 }
 
-void HashKvStore::append_record(const std::string& key, ValueDesc value,
-                                const std::function<void(Status)>&,
-                                bool is_defrag) {
-  const u32 rec_size = (u32)record_device_bytes((u32)key.size(), value.size);
-  if (buf_used_ + rec_size > cfg_.write_block_bytes)
-    flush_buffer([](Status) {});
-  index_[key] = Rec{kBufferBlock, buf_gen_, buf_used_, rec_size, value.size,
-                    value.fingerprint};
+void HashKvStore::append_record(u32 id, ValueDesc value, bool is_defrag) {
+  const u32 rec_size =
+      (u32)record_device_bytes((u32)recs_[id].key.size(), value.size);
+  if (buf_used_ + rec_size > cfg_.write_block_bytes && !flush_buffer())
+    throw std::logic_error(
+        "HashKvStore: no free write block for a full buffer");
+  Rec& r = recs_[id];
+  r.wb = kBufferBlock;
+  r.buf_gen = buf_gen_;
+  r.offset = buf_used_;
+  r.size = rec_size;
+  r.vsize = value.size;
+  r.vfp = value.fingerprint;
+  ++r.refs;
   if (cfg_.crash_tracking)
-    buf_recs_.push_back(
-        DurableLogRec{key, buf_used_, rec_size, value.size,
-                      value.fingerprint});
-  buf_keys_.push_back(key);
+    buf_recs_.push_back(DurableLogRec{r.key, buf_used_, rec_size, value.size,
+                                      value.fingerprint});
+  buf_ids_.push_back(id);
   buf_used_ += rec_size;
   if (is_defrag) cpu_ns_ += cfg_.buffer_copy_ns;
 }
 
-void HashKvStore::flush_buffer(std::function<void(Status)> done) {
-  if (buf_used_ == 0 || free_blocks_.empty()) {
-    done(buf_used_ == 0 ? Status::kOk : Status::kDeviceFull);
-    return;
-  }
+bool HashKvStore::flush_buffer() {
+  if (free_blocks_.empty()) return false;
   const u32 b = free_blocks_.back();
   free_blocks_.pop_back();
   blocks_[b].free = false;
   const u32 gen = buf_gen_;
-  const u32 used = buf_used_;
-  auto keys = std::make_shared<std::vector<std::string>>(
-      std::move(buf_keys_));
-  // Fresh buffer for subsequent appends.
+  const u32 slot = flushes_.acquire();
+  Flush& f = flushes_[slot];
+  f.block = b;
+  f.gen = gen;
+  f.used = buf_used_;
+  f.ids.swap(buf_ids_);  // the buffer takes the record's emptied list
   if (cfg_.crash_tracking) {
     // Ledger the block at write issue: from here on its fate belongs to
     // the device, and a cold restart decides durability by probing it.
     durable_log_[b] =
-        DurableLogBlock{flush_seq_++, gen, used, std::move(buf_recs_)};
+        DurableLogBlock{flush_seq_++, gen, buf_used_, std::move(buf_recs_)};
     buf_recs_.clear();
   }
+  // Fresh buffer for subsequent appends.
   ++buf_gen_;
   buf_used_ = 0;
-  buf_keys_.clear();
 
   ++outstanding_flushes_;
   dev_.write(wb_lba(b, 0), (u32)cfg_.write_block_bytes, ((u64)b << 32) | gen,
-             [this, b, gen, used, keys, done = std::move(done)](Status s) {
-               WriteBlock& wb = blocks_[b];
-               wb.used = used;
-               wb.live = 0;
-               wb.keys.clear();
-               for (const std::string& k : *keys) {
-                 auto it = index_.find(k);
-                 if (it == index_.end() || it->second.wb != kBufferBlock ||
-                     it->second.buf_gen != gen)
-                   continue;  // deleted or re-written meanwhile
-                 it->second.wb = b;
-                 wb.live += it->second.size;
-                 wb.keys.push_back(k);
-               }
-               maybe_queue_defrag(b);
-               --outstanding_flushes_;
-               // Admit puts that waited on backpressure.
-               while (!waiting_puts_.empty() && outstanding_flushes_ < 4) {
-                 auto w = std::move(waiting_puts_.front());
-                 waiting_puts_.pop_front();
-                 put(w.first, w.second.first, std::move(w.second.second));
-               }
-               maybe_drain_done();
-               done(s);
-             });
+             [this, slot](Status) { on_flushed(slot); });
+  return true;
 }
 
-void HashKvStore::invalidate(const std::string& key, const Rec& old) {
-  (void)key;
-  if (old.wb == kBufferBlock) return;  // still staged in RAM
-  WriteBlock& wb = blocks_[old.wb];
-  wb.live -= std::min(wb.live, old.size);
-  maybe_queue_defrag(old.wb);
+void HashKvStore::on_flushed(u32 slot) {
+  Flush& f = flushes_[slot];
+  const u32 b = f.block;
+  WriteBlock& wb = blocks_[b];
+  wb.used = f.used;
+  wb.live = 0;
+  clear_ids(wb.ids);
+  for (u32 id : f.ids) {
+    Rec& r = recs_[id];
+    if (r.wb != kBufferBlock || r.buf_gen != f.gen) {
+      unref(id);  // deleted or re-written meanwhile
+      continue;
+    }
+    r.wb = b;
+    wb.live += r.size;
+    wb.ids.push_back(id);  // the entry's reference moves with it
+  }
+  f.ids.clear();
+  flushes_.release(slot);
+  maybe_queue_defrag(b);
+  --outstanding_flushes_;
+  // Admit puts that waited on backpressure.
+  while (!waiting_puts_.empty() && outstanding_flushes_ < 4) {
+    auto w = std::move(waiting_puts_.front());
+    waiting_puts_.pop_front();
+    put(w.first, w.second.first, std::move(w.second.second));
+  }
+  maybe_drain_done();
+}
+
+void HashKvStore::invalidate(u32 b, u32 size) {
+  if (b == kBufferBlock) return;  // still staged in RAM
+  WriteBlock& wb = blocks_[b];
+  wb.live -= std::min(wb.live, size);
+  maybe_queue_defrag(b);
 }
 
 void HashKvStore::maybe_queue_defrag(u32 b) {
@@ -208,38 +274,40 @@ void HashKvStore::run_defrag() {
     return;
   }
   ++defrags_;
-  dev_.read(wb_lba(b, 0), (u32)cfg_.write_block_bytes, [this, b](Status,
-                                                                 u64) {
-    WriteBlock& wb = blocks_[b];
-    std::vector<std::string> live_keys;
-    for (const std::string& k : wb.keys) {
-      auto it = index_.find(k);
-      if (it != index_.end() && it->second.wb == b) live_keys.push_back(k);
-    }
-    const TimeNs cpu =
-        (TimeNs)live_keys.size() * cfg_.defrag_cpu_per_record_ns;
-    cpu_ns_ += cpu;
-    const TimeNs t = defrag_cpu_.reserve(eq_.now(), cpu);
-    eq_.schedule_at(t, [this, b, live_keys = std::move(live_keys)] {
-      for (const std::string& k : live_keys) {
-        auto it = index_.find(k);
-        if (it == index_.end() || it->second.wb != b) continue;
-        append_record(k, ValueDesc{it->second.vsize, it->second.vfp}, nullptr,
-                      true);
-      }
-      WriteBlock& wb = blocks_[b];
-      wb.free = true;
-      wb.used = 0;
-      wb.live = 0;
-      wb.keys.clear();
-      free_blocks_.push_back(b);
-      // The erase takes the block's records with it; live ones were just
-      // re-appended and will be ledgered again by the next flush.
-      if (cfg_.crash_tracking) durable_log_.erase(b);
-      dev_.trim(wb_lba(b, 0), cfg_.write_block_bytes,
-                [this](Status) { run_defrag(); });
-    });
-  });
+  dev_.read(wb_lba(b, 0), (u32)cfg_.write_block_bytes,
+            [this, b](Status, u64) { defrag_read_done(b); });
+}
+
+void HashKvStore::defrag_read_done(u32 b) {
+  for (u32 id : blocks_[b].ids) {
+    if (recs_[id].wb != b) continue;
+    ++recs_[id].refs;
+    defrag_live_.push_back(id);
+  }
+  const TimeNs cpu =
+      (TimeNs)defrag_live_.size() * cfg_.defrag_cpu_per_record_ns;
+  cpu_ns_ += cpu;
+  const TimeNs t = defrag_cpu_.reserve(eq_.now(), cpu);
+  eq_.schedule_at(t, [this, b] { defrag_rewrite(b); });
+}
+
+void HashKvStore::defrag_rewrite(u32 b) {
+  for (u32 id : defrag_live_) {
+    const Rec& r = recs_[id];
+    if (r.wb == b) append_record(id, ValueDesc{r.vsize, r.vfp}, true);
+  }
+  clear_ids(defrag_live_);
+  WriteBlock& wb = blocks_[b];
+  wb.free = true;
+  wb.used = 0;
+  wb.live = 0;
+  clear_ids(wb.ids);
+  free_blocks_.push_back(b);
+  // The erase takes the block's records with it; live ones were just
+  // re-appended and will be ledgered again by the next flush.
+  if (cfg_.crash_tracking) durable_log_.erase(b);
+  dev_.trim(wb_lba(b, 0), cfg_.write_block_bytes,
+            [this](Status) { run_defrag(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -251,50 +319,47 @@ void HashKvStore::get(std::string_view key, GetDone done) {
   cpu_ns_ += cost;
   const TimeNs t_cpu = fg_cpu_.reserve(eq_.now(), cost);
 
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    eq_.schedule_at(t_cpu, [done = std::move(done)]() mutable {
-      done(Status::kNotFound, ValueDesc{});
-    });
+  const u32 slot = ops_.acquire();
+  Op& op = ops_[slot];
+  op.got = std::move(done);
+  const u32 id = find(key, hash64(key));
+  if (id == KeyIndex::kNone || recs_[id].wb == kDeleted) {
+    op.value = ValueDesc{};
+    eq_.schedule_at(t_cpu, [this, slot] { finish(slot, Status::kNotFound); });
     return;
   }
-  const Rec rec = it->second;
-  const ValueDesc out{rec.vsize, rec.vfp};
-  if (rec.wb == kBufferBlock) {  // record still staged in host RAM
+  const Rec& r = recs_[id];
+  op.value = ValueDesc{r.vsize, r.vfp};
+  if (r.wb == kBufferBlock) {  // record still staged in host RAM
     eq_.schedule_at(t_cpu + cfg_.buffer_copy_ns,
-                    [out, done = std::move(done)]() mutable {
-                      done(Status::kOk, out);
-                    });
+                    [this, slot] { finish(slot, Status::kOk); });
     return;
   }
   // Direct I/O: read the sectors covering the record.
-  const u32 sector = cfg_.read_sector_bytes;
-  const u32 first = rec.offset / sector * sector;
-  const u32 span =
-      (rec.offset + rec.size - first + sector - 1) / sector * sector;
-  dev_.read(wb_lba(rec.wb, first), span,
-            [out, done = std::move(done)](Status s, u64) mutable {
-              done(s == Status::kOk ? Status::kOk : s, out);
-            });
+  const auto [first, span] = sector_span(r.offset, r.size);
+  dev_.read(wb_lba(r.wb, first), span,
+            [this, slot](Status s, u64) { finish(slot, s); });
 }
 
 void HashKvStore::del(std::string_view key, PutDone done) {
   const TimeNs cost = cfg_.api_ns + cfg_.index_cpu_ns;
   cpu_ns_ += cost;
   const TimeNs t_cpu = fg_cpu_.reserve(eq_.now(), cost);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    eq_.schedule_at(t_cpu, [done = std::move(done)]() mutable {
-      done(Status::kNotFound);
-    });
+  const u32 slot = ops_.acquire();
+  ops_[slot].done = std::move(done);
+  const u64 h = hash64(key);
+  const u32 id = find(key, h);
+  if (id == KeyIndex::kNone || recs_[id].wb == kDeleted) {
+    eq_.schedule_at(t_cpu, [this, slot] { finish(slot, Status::kNotFound); });
     return;
   }
-  invalidate(it->first, it->second);
-  app_bytes_live_ -=
-      std::min<u64>(app_bytes_live_, it->first.size() + it->second.vsize);
-  index_.erase(it);
-  eq_.schedule_at(t_cpu,
-                  [done = std::move(done)]() mutable { done(Status::kOk); });
+  invalidate(recs_[id].wb, recs_[id].size);
+  Rec& r = recs_[id];
+  app_bytes_live_ -= std::min<u64>(app_bytes_live_, key.size() + r.vsize);
+  r.wb = kDeleted;
+  --live_records_;
+  if (r.refs == 0) forget(id, h);
+  eq_.schedule_at(t_cpu, [this, slot] { finish(slot, Status::kOk); });
 }
 
 // ---------------------------------------------------------------------------
@@ -304,19 +369,24 @@ void HashKvStore::del(std::string_view key, PutDone done) {
 void HashKvStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
   const TimeNs now = eq_.now();
 
-  // Acked state before the cut, for the lost-write count.
-  std::vector<std::pair<std::string, u64>> pre;
-  pre.reserve(index_.size());
-  for (const auto& [k, r] : index_) pre.emplace_back(k, r.vfp);
+  // Acked state before the cut, for the lost-write count: the records
+  // not deleted.
+  const std::vector<Rec> pre = std::move(recs_);
 
   // ---- power loss: the RAM index and write buffer are gone ---------------
   index_.clear();
+  recs_.clear();
+  free_ids_.clear();
+  live_records_ = 0;
+  ops_.clear();  // the callbacks die unrun with their ops
+  flushes_.clear();
   buf_used_ = 0;
-  buf_keys_.clear();
+  buf_ids_.clear();
   buf_recs_.clear();
   waiting_puts_.clear();  // held by backpressure, never acked
   defrag_queue_.clear();
   defrag_running_ = false;
+  defrag_live_.clear();
   outstanding_flushes_ = 0;
   drain_waiters_.clear();
   app_bytes_live_ = 0;
@@ -367,8 +437,15 @@ void HashKvStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
     }
     blocks_[b].free = false;
     blocks_[b].used = led->used;
-    for (const DurableLogRec& r : led->recs) {
-      index_[r.key] = Rec{b, 0, r.offset, r.size, r.vsize, r.vfp};
+    for (const DurableLogRec& lr : led->recs) {
+      Rec& r = recs_[id_for(lr.key, hash64(lr.key))];
+      if (r.wb == kDeleted) ++live_records_;
+      r.wb = b;
+      r.buf_gen = 0;
+      r.offset = lr.offset;
+      r.size = lr.size;
+      r.vsize = lr.vsize;
+      r.vfp = lr.vfp;
       ++applied;
     }
   }
@@ -376,25 +453,28 @@ void HashKvStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
 
   // Rebuild per-block live bytes and key lists from the final index, in
   // sorted key order so recovery (and any defrag it kicks off) is
-  // deterministic.
-  std::vector<std::pair<std::string, Rec>> final_recs(index_.begin(),
-                                                      index_.end());
-  std::sort(final_recs.begin(), final_recs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [k, r] : final_recs) {
+  // deterministic. Every record is live.
+  std::vector<u32> by_key(recs_.size());
+  std::iota(by_key.begin(), by_key.end(), 0u);
+  std::sort(by_key.begin(), by_key.end(),
+            [this](u32 a, u32 b) { return recs_[a].key < recs_[b].key; });
+  for (u32 id : by_key) {
+    Rec& r = recs_[id];
     blocks_[r.wb].live += r.size;
-    blocks_[r.wb].keys.push_back(k);
-    app_bytes_live_ += k.size() + r.vsize;
+    blocks_[r.wb].ids.push_back(id);
+    ++r.refs;
+    app_bytes_live_ += r.key.size() + r.vsize;
   }
-  out.recovered_records = index_.size();
+  out.recovered_records = live_records_;
 
   // Free list in the same descending order the constructor uses.
   for (u32 b = (u32)blocks_.size(); b-- > 0;)
     if (blocks_[b].free) free_blocks_.push_back(b);
 
-  for (const auto& [k, vfp] : pre) {
-    auto it = index_.find(k);
-    if (it == index_.end() || it->second.vfp != vfp) ++out.lost_records;
+  for (const Rec& p : pre) {
+    if (p.wb == kDeleted) continue;
+    const u32 id = find(p.key, hash64(p.key));
+    if (id == KeyIndex::kNone || recs_[id].vfp != p.vfp) ++out.lost_records;
   }
 
   // Index-rebuild CPU: one primary-index insert per applied header.
@@ -417,15 +497,20 @@ void HashKvStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
 
 void HashKvStore::drain(sim::Task done) {
   drain_waiters_.push_back(std::move(done));
-  if (buf_used_ > 0) flush_buffer([](Status) {});
+  if (buf_used_ > 0) flush_buffer();
   maybe_drain_done();
 }
 
 void HashKvStore::maybe_drain_done() {
   if (drain_waiters_.empty()) return;
-  if (buf_used_ > 0 || outstanding_flushes_ > 0 || defrag_running_ ||
+  if (outstanding_flushes_ > 0 || defrag_running_ ||
       !defrag_queue_.empty() || !waiting_puts_.empty())
     return;
+  // Otherwise idle. Defrag may have re-staged records after the drain's
+  // flush: write them out too. (put's admission rule keeps a write block
+  // free for them; were none free, none could be freed any more, and the
+  // records would stay in RAM.)
+  if (buf_used_ > 0 && flush_buffer()) return;
   auto waiters = std::move(drain_waiters_);
   drain_waiters_.clear();
   for (auto& w : waiters) w();

@@ -19,13 +19,15 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "blockapi/block_device.h"
+#include "common/slot_pool.h"
+#include "hashkv/key_index.h"
 #include "sim/task.h"
 
 #include "common/thread_annotations.h"
@@ -68,11 +70,16 @@ class HashKvStore {
   HashKvStore(sim::EventQueue& eq, blockapi::BlockDevice& dev,
               const HashKvConfig& cfg = {});
 
+  /// Completes synchronously with kInvalidArgument when the record is
+  /// larger than a write block, and with kDeviceFull when admitting it
+  /// would leave the active buffer no free write block to flush into.
   void put(std::string_view key, ValueDesc value, PutDone done);
   void get(std::string_view key, GetDone done);
   void del(std::string_view key, PutDone done);
 
-  /// Flush the active write buffer and wait for defrag to go idle.
+  /// Flush the active write buffer and wait until flushes, defrag and
+  /// backpressured puts are idle; records defrag re-stages meanwhile are
+  /// flushed too. Always calls back.
   void drain(sim::Task done);
 
   /// Cold-restart recovery counters (see power_fail_and_recover).
@@ -96,42 +103,97 @@ class HashKvStore {
   // --- telemetry -----------------------------------------------------------
   [[nodiscard]] u64 host_cpu_ns() const { return cpu_ns_; }
   [[nodiscard]] u64 device_bytes_used() const;
-  [[nodiscard]] u64 record_count() const { return index_.size(); }
+  [[nodiscard]] u64 record_count() const { return live_records_; }
   [[nodiscard]] u64 defrags_run() const { return defrags_; }
   [[nodiscard]] u64 app_bytes_live() const { return app_bytes_live_; }
+  /// Store-op records (tests: a crash clears them, a warm run reuses them).
+  [[nodiscard]] PoolUsage op_pool_usage() const { return ops_.usage(); }
 
   /// Device bytes one record occupies (for tests / space-amp math).
   [[nodiscard]] u64 record_device_bytes(u32 key_bytes, u32 value_bytes) const;
 
  private:
   static constexpr u32 kBufferBlock = ~0u;
+  static constexpr u32 kDeleted = ~0u - 1;
 
+  /// One key's record, under a stable id. The key lists (the active
+  /// buffer's, each in-flight flush's, each write block's and defrag's)
+  /// hold ids, and `refs` counts the entries naming this one. A record
+  /// keeps its id, deleted or not, while any list names it, so an id
+  /// stands for its key exactly; only then is a deleted record's id
+  /// recycled (keeping its key string's capacity).
   struct Rec {
-    u32 wb;        // write block id, or kBufferBlock
-    u32 buf_gen;   // which buffer generation (when wb == kBufferBlock)
-    u32 offset;    // byte offset inside the write block
-    u32 size;      // aligned record size
-    u32 vsize;
-    u64 vfp;
+    std::string key;
+    u64 vfp = 0;
+    u32 wb = kDeleted;  // write block id, kBufferBlock, or kDeleted
+    u32 buf_gen = 0;    // which buffer generation (when wb == kBufferBlock)
+    u32 offset = 0;     // byte offset inside the write block
+    u32 size = 0;       // aligned record size
+    u32 vsize = 0;
+    u32 refs = 0;
   };
 
   struct WriteBlock {
     u32 used = 0;       // bytes appended when the block was written
     u32 live = 0;       // bytes of live records
-    std::vector<std::string> keys;  // keys written into this block
+    std::vector<u32> ids;  // records written into this block
     bool in_defrag_queue = false;
     bool free = true;
   };
 
-  void append_record(const std::string& key, ValueDesc value,
-                     const std::function<void(Status)>& done, bool is_defrag);
-  void flush_buffer(std::function<void(Status)> done);
-  void invalidate(const std::string& key, const Rec& old);
+  /// A write-block flush between issue and completion.
+  struct Flush {
+    u32 block = 0;
+    u32 gen = 0;   // the buffer generation it carries
+    u32 used = 0;  // bytes appended to it
+    std::vector<u32> ids;  // the buffer's key list, in append order
+  };
+
+  /// A get, put or del between its call and its callback. Every closure
+  /// on the op's path captures {this, slot}.
+  struct Op {
+    PutDone done;     // put, del
+    GetDone got;      // get
+    ValueDesc value;  // get: the record's value
+    TimeNs t_cpu = 0; // put: when its CPU slot ends
+  };
+
+  /// The id of `key` (hash `h`), or KeyIndex::kNone.
+  [[nodiscard]] u32 find(std::string_view key, u64 h) const {
+    return index_.find(h, key, [this](u32 id) -> std::string_view {
+      return recs_[id].key;
+    });
+  }
+  /// The id of `key`, indexing a deleted record for it when absent.
+  u32 id_for(std::string_view key, u64 h);
+  /// Drop one list entry naming `id`.
+  void unref(u32 id);
+  void forget(u32 id, u64 h);
+  /// Drop every entry of `ids`.
+  void clear_ids(std::vector<u32>& ids);
+
+  /// Complete op `slot`: release its record, then run its callback.
+  void finish(u32 slot, Status s);
+
+  void append_record(u32 id, ValueDesc value, bool is_defrag);
+  /// Write the active buffer out to a free write block; false when none
+  /// is free.
+  bool flush_buffer();
+  void on_flushed(u32 slot);
+  void invalidate(u32 b, u32 size);
   void maybe_queue_defrag(u32 wb);
   void run_defrag();
+  void defrag_read_done(u32 b);
+  void defrag_rewrite(u32 b);
   void maybe_drain_done();
   [[nodiscard]] Lba wb_lba(u32 wb, u32 offset) const {
     return (Lba)wb * (cfg_.write_block_bytes / 512) + offset / 512;
+  }
+  /// The sector-aligned span covering a record at `offset` of `size` B.
+  [[nodiscard]] std::pair<u32, u32> sector_span(u32 offset, u32 size) const {
+    const u32 sector = cfg_.read_sector_bytes;
+    const u32 first = offset / sector * sector;
+    return {first, (offset + size - first + sector - 1) / sector * sector};
   }
 
   sim::EventQueue& eq_;
@@ -140,19 +202,14 @@ class HashKvStore {
   sim::Resource fg_cpu_;
   sim::Resource defrag_cpu_;
 
-  /// Hashes a key given as std::string or std::string_view alike
-  /// (std::hash<std::string_view> equals std::hash<std::string> on the
-  /// same bytes, so the index's bucket layout does not depend on which),
-  /// so lookups by string_view build no std::string.
-  struct KeyHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view k) const {
-      return std::hash<std::string_view>{}(k);
-    }
-  };
-  std::unordered_map<std::string, Rec, KeyHash, std::equal_to<>> index_;
+  KeyIndex index_;
+  std::vector<Rec> recs_;
+  std::vector<u32> free_ids_;
+  u64 live_records_ = 0;
   std::vector<WriteBlock> blocks_;
   std::vector<u32> free_blocks_;
+  SlotPool<Op> ops_;
+  SlotPool<Flush> flushes_;
 
   // Crash tracking: what a cold-restart scan could parse back out of each
   // flushed write block. Recorded at append time so records whose key was
@@ -178,13 +235,14 @@ class HashKvStore {
   // active write buffer
   u32 buf_gen_ = 0;
   u32 buf_used_ = 0;
-  std::vector<std::string> buf_keys_;
+  std::vector<u32> buf_ids_;
   u32 outstanding_flushes_ = 0;
   std::deque<std::pair<std::string, std::pair<ValueDesc, PutDone>>>
       waiting_puts_;  // arrivals held back by flush backpressure
 
   std::deque<u32> defrag_queue_;
   bool defrag_running_ = false;
+  std::vector<u32> defrag_live_;  // the running defrag's live records
 
   u64 cpu_ns_ = 0;
   u64 defrags_ = 0;

@@ -23,8 +23,8 @@
 // sim::Resource Grant accounting.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
-#include <deque>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -277,8 +277,42 @@ class NvmeLink {
     TimeNs posted;
     sim::Task at_device;
   };
+  /// A submission queue's parked entries: a FIFO ring that doubles when
+  /// full and keeps its capacity, so a warm queue parks and fetches
+  /// without allocating.
+  class SqRing {
+   public:
+    [[nodiscard]] u64 size() const { return size_; }
+    void push_back(SqEntry e) {
+      if (size_ == slots_.size()) grow();
+      slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(e);
+      ++size_;
+    }
+    SqEntry pop_front() {
+      SqEntry e = std::move(slots_[head_]);
+      head_ = (head_ + 1) & (slots_.size() - 1);
+      --size_;
+      return e;
+    }
+    /// Drop every entry, destroying its task.
+    void clear() {
+      while (size_ > 0) pop_front();
+    }
+
+   private:
+    void grow() {
+      std::vector<SqEntry> bigger(std::max<size_t>(8, slots_.size() * 2));
+      for (u64 i = 0; i < size_; ++i)
+        bigger[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+      slots_.swap(bigger);
+      head_ = 0;
+    }
+    std::vector<SqEntry> slots_;  // a power-of-two count
+    u64 head_ = 0;
+    u64 size_ = 0;
+  };
   struct Queue {
-    std::deque<SqEntry> sq;
+    SqRing sq;
     NvmeQueueStats stats;
     u64 deferred = 0;       ///< posts waiting out a doorbell re-poll
     TimeNs defer_tail = 0;  ///< landing time of the latest deferred post
@@ -314,8 +348,7 @@ class NvmeLink {
     }
     fetch_inflight_ = true;
     Queue& q = queues_[(u32)pick];
-    SqEntry e = std::move(q.sq.front());
-    q.sq.pop_front();
+    SqEntry e = q.sq.pop_front();
     const sim::Resource::Grant g = cmd_proc_.reserve(
         eq_.now(), (TimeNs)e.ncmds * command_cost_ns());
     TimeNs t = g.done;

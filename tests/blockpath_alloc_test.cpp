@@ -5,14 +5,17 @@
 // records (LsmStore lookups, BlockDevice commands, BlockFtl reads) whose
 // event closures capture only {this, slot}, the caches are flat, SST
 // lookups use the point index, and a one-extent file read goes straight
-// to the device. A count that grows means a per-op allocation crept back
-// into the path.
+// to the device. The hashkv store keeps each op in a pooled record too,
+// and its index and key lists hold record ids, not key copies. A count
+// that grows means a per-op allocation crept back into the path.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <new>
 #include <string>
 
+#include "common/rng.h"
+#include "harness/runner.h"
 #include "harness/stacks.h"
 #include "workload/workload.h"
 
@@ -42,13 +45,13 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace kvsim::harness {
 namespace {
 
-// Per-read ceilings. The LSM lookup and the device read allocate nothing.
-// A hashkv read allocates the closure its device read completes into: it
-// owns the caller's callback and the record's value descriptor, more than
-// sim::Fn's inline buffer holds.
+// Per-op ceilings. The LSM lookup, the device read and the hashkv get and
+// update allocate nothing: the hashkv store keeps the caller's callback
+// and the record's value descriptor in a pooled op record.
 constexpr unsigned long long kLsmGetAllocs = 0;
 constexpr unsigned long long kDeviceReadAllocs = 0;
-constexpr unsigned long long kHashKvGetAllocs = 1;
+constexpr unsigned long long kHashKvGetAllocs = 0;
+constexpr unsigned long long kHashKvUpdateAllocs = 0;
 
 // Keys are 16 bytes: past std::string's inline capacity, like the
 // benchmark's keys, so every key copy shows up as an allocation.
@@ -166,6 +169,119 @@ TEST(BlockPathAllocation, HashKvGetFromDevice) {
   for (u64 i = 2; i < kKeys; i += 5, ++n)
     EXPECT_LE(get(i), kHashKvGetAllocs) << "key " << i;
   EXPECT_EQ(bed.ftl().stats().host_read_ops - reads0, n);  // all on device
+}
+
+// An update of a record on the device reads the old record before it
+// acks (read_before_update). Once the store's pools and lists are warm,
+// it allocates nothing. Updates that flush a write block or start a
+// defrag are left out: BlockFtl::write allocates its join and ::trim its
+// completion closure.
+TEST(BlockPathAllocation, HashKvUpdateThatReadsTheOldRecord) {
+  HashKvBedConfig c;
+  c.dev = small_dev();
+  c.ftl.read_cache_pages = 4;
+  HashKvBed bed(c);
+  ASSERT_TRUE(c.store.read_before_update);
+  constexpr u64 kKeys = 6000;
+  // 40 B header + 16 B key + 968 B value = 1 KiB: no record spans two
+  // flash pages (a multi-page miss allocates in BlockFtl::read).
+  constexpr u32 kValueBytes = 968;
+  ASSERT_EQ(bed.store().record_device_bytes(kKeyBytes, kValueBytes), 1 * KiB);
+  put_and_drain(bed, kKeys, kValueBytes);
+
+  u64 version = kKeys;
+  auto update = [&](u64 i) {
+    Status out = Status::kIoError;
+    const std::string k = wl::make_key(i, kKeyBytes);
+    const auto before = g_allocs;
+    bed.store().put(k, ValueDesc{kValueBytes, ++version},
+                    [&out](Status s) { out = s; });
+    bed.eq().run();
+    EXPECT_EQ(out, Status::kOk);
+    return g_allocs - before;
+  };
+  // Warm-up: uniform updates until defrag has recycled write blocks many
+  // times, so the lists and pools are at their steady size; then a drain
+  // puts every record on the device.
+  Rng rng(3);
+  for (u64 op = 0; op < 5 * kKeys; ++op) update(rng.below(kKeys));
+  ASSERT_GT(bed.store().defrags_run(), 20u);
+  bed.drain([] {});
+  bed.eq().run();
+  // Distinct keys spread over every write block, so few blocks fall to
+  // the defrag threshold (a defrag re-stages records in RAM).
+  u64 measured = 0;
+  for (u64 op = 0; op < 100; ++op) {
+    const ssd::FtlStats s0 = bed.ftl().stats();
+    const u64 defrags0 = bed.store().defrags_run();
+    const auto allocs = update((op * 59 + 7) % kKeys);
+    const ssd::FtlStats& s1 = bed.ftl().stats();
+    if (s1.host_read_ops != s0.host_read_ops + 1 ||
+        s1.host_write_ops != s0.host_write_ops ||
+        bed.store().defrags_run() != defrags0)
+      continue;  // no read of the old record, or a flush or defrag ran
+    ++measured;
+    EXPECT_LE(allocs, kHashKvUpdateAllocs) << "update " << op;
+  }
+  EXPECT_GE(measured, 80u);
+}
+
+// Four tenants on WRR-weighted NVMe queues, reading open loop: reads
+// park in the submission rings and the store's op pool serves each.
+// Once warm, N reads allocate what 2N do, so none allocates per op.
+// Updates run only in the warm-up: a write-block flush and a defrag trim
+// allocate in BlockFtl::write and ::trim, below the store. Records are
+// exactly 1 KiB, so no read spans two flash pages (a multi-page miss
+// allocates in BlockFtl::read). Both timed runs fit in one 100 ms
+// bandwidth window of the run's result.
+TEST(BlockPathAllocation, WarmOpenLoopHashKvTenantsAllocateNothingPerOp) {
+  HashKvBedConfig c;
+  c.dev = small_dev();
+  c.nvme.num_queues = 4;
+  c.nvme.queue_weights = {1, 2, 4, 8};
+  HashKvBed bed(c);
+  constexpr u64 kKeys = 512;
+  // 40 B header + 2 B tenant tag + 16 B key + 966 B value = 1 KiB.
+  constexpr u32 kValueBytes = 966;
+  ASSERT_EQ(bed.store().record_device_bytes(2 + kKeyBytes, kValueBytes),
+            1 * KiB);
+  TimeNs elapsed = 0;
+  auto run = [&](u64 ops_per_tenant, wl::OpMix ops) {
+    wl::TenantMix m;
+    for (u32 t = 0; t < 4; ++t) {
+      wl::WorkloadSpec s;
+      s.num_ops = ops_per_tenant;
+      s.key_space = kKeys;
+      s.key_bytes = kKeyBytes;
+      s.value_bytes = kValueBytes;
+      s.mix = ops;
+      s.seed = 11 + t;
+      s.arrival.kind = wl::ArrivalKind::kPoisson;
+      s.arrival.rate_ops_per_sec = 20'000;
+      s.arrival.max_inflight = 16;
+      m.tenants.push_back(wl::TenantSpec{
+          .spec = s, .weight = 1u << t, .queue = t, .nsid = (u8)(t + 1)});
+    }
+    RunOptions opts;
+    opts.telemetry = false;
+    const auto before = g_allocs;
+    const MixResult r = run_mix(bed, m, opts);
+    EXPECT_EQ(r.combined.ops, 4 * ops_per_tenant);
+    elapsed = r.combined.elapsed;
+    return g_allocs - before;
+  };
+  run(kKeys, wl::OpMix::insert_only());
+  for (int i = 0; i < 8; ++i) run(2000, wl::OpMix{0, 0.3, 0.7, 0});
+  ASSERT_GT(bed.store().defrags_run(), 0u);
+  const wl::OpMix reads = wl::OpMix::read_only();
+  run(500, reads);  // warm-up
+  u64 sq_max = 0;
+  for (u32 q = 0; q < 4; ++q)
+    sq_max = std::max(sq_max, bed.link().queue_stats(q).max_occupancy);
+  EXPECT_GT(sq_max, 1u) << "no read waited in a submission ring";
+  const auto n = run(250, reads);
+  EXPECT_EQ(run(500, reads), n) << "the run allocated per op";
+  EXPECT_LT(elapsed, 100 * kMs);
 }
 
 // --- the bed above the store -------------------------------------------------

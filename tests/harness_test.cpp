@@ -3,6 +3,9 @@
 // rely on (these are the guard rails for EXPERIMENTS.md).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "harness/runner.h"
 #include "harness/stacks.h"
 
@@ -148,6 +151,57 @@ TEST(BlockRunner, WritesThenReadsRoundTrip) {
   const RunResult r = run_block(bed.eq(), bed.device(), spec);
   EXPECT_EQ(r.errors.total(), 0u);
   EXPECT_GT(r.read.mean(), 0.0);
+}
+
+/// A stack whose ops complete 1 us after issue and whose drain drops its
+/// callback: the event queue runs dry with the drain still waiting.
+class DrainDroppingStack final : public KvStack {
+ public:
+  void store_as(const TenantCtx&, std::string_view, ValueDesc,
+                StoreDone done) override {
+    eq_.schedule_after(kUs, [d = std::move(done)]() mutable {
+      d(Status::kOk);
+    });
+  }
+  void retrieve_as(const TenantCtx&, std::string_view,
+                   RetrieveDone done) override {
+    eq_.schedule_after(kUs, [d = std::move(done)]() mutable {
+      d(Status::kNotFound, ValueDesc{});
+    });
+  }
+  void remove_as(const TenantCtx&, std::string_view,
+                 RemoveDone done) override {
+    store_as({}, {}, {}, std::move(done));
+  }
+  void drain(sim::Task) override {}
+  sim::EventQueue& eq() override { return eq_; }
+  [[nodiscard]] u64 host_cpu_ns() const override { return 0; }
+  [[nodiscard]] u64 device_bytes_used() const override { return 0; }
+  [[nodiscard]] u64 app_bytes_live() const override { return 0; }
+  [[nodiscard]] const char* name() const override { return "drain-dropper"; }
+
+ private:
+  sim::EventQueue eq_;
+};
+
+// A drain that never calls back would leave its callback pointing at the
+// runner's stack frame, so the run fails loudly, naming the stack.
+TEST(Runner, ThrowsWhenTheDrainNeverCallsBack) {
+  DrainDroppingStack stack;
+  wl::WorkloadSpec spec;
+  spec.num_ops = 100;
+  spec.key_space = 50;
+  spec.mix = {0, 0.5, 0.5, 0};
+  spec.queue_depth = 4;
+  try {
+    (void)run_workload(stack, spec, {.drain_after = true});
+    FAIL() << "run_workload returned";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("drain-dropper"), std::string::npos)
+        << e.what();
+  }
+  // Without a drain the run completes.
+  EXPECT_EQ(run_workload(stack, spec, RunOptions{}).ops, 100u);
 }
 
 }  // namespace

@@ -4,9 +4,12 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "harness/stacks.h"
+#include "hashkv/key_index.h"
 #include "workload/workload.h"
 
 namespace kvsim::hashkv {
@@ -158,6 +161,230 @@ TEST(HashKv, ModelBasedRandomOps) {
       model.erase(k);
     }
   }
+}
+
+// --- drain and a nearly full device -------------------------------------------
+
+// Defrag can re-stage records after the drain's flush. The drain then
+// flushes again: it calls back every round, on every seed.
+TEST(HashKvDrain, CallsBackAfterDefragRestagesRecords) {
+  for (u64 seed = 1; seed <= 6; ++seed) {
+    Bed b;
+    constexpr u64 kKeys = 400;
+    for (u64 i = 0; i < kKeys; ++i)
+      ASSERT_EQ(b.put(wl::make_key(i, 12), 4096, i), Status::kOk);
+    Rng rng(seed);
+    for (u64 round = 0; round < 12; ++round) {
+      u64 acked = 0;
+      for (u64 op = 0; op < 64; ++op)
+        b.bed.store(wl::make_key(rng.below(kKeys), 12),
+                    ValueDesc{4096, 1000 + op},
+                    [&acked](Status s) { acked += s == Status::kOk; });
+      bool drained = false;
+      b.bed.drain([&drained] { drained = true; });
+      b.bed.eq().run();
+      ASSERT_TRUE(drained) << "seed " << seed << " round " << round;
+      ASSERT_EQ(acked, 64u);
+      ASSERT_EQ(b.bed.store().record_count(), kKeys);
+    }
+  }
+}
+
+/// Fill `fill` of the device with 4 KiB values under 16 B keys, then run
+/// `updates_per_key` uniform updates per key at QD 1. Defrag can reclaim
+/// only blocks below its threshold, so updates that outrun it fill the
+/// device, and the store refuses them. Throughout, the records fit the
+/// device, every acked write reads back, and drain calls back.
+void fill_and_update_near_full(double fill, u64 updates_per_key) {
+  Bed b;
+  const u64 capacity = b.bed.device().capacity_bytes();
+  const u64 rec = b.bed.store().record_device_bytes(16, 4096);
+  const u64 keys = (u64)(fill * (double)capacity) / rec;
+  std::map<u64, u64> acked;  // key -> fingerprint
+  for (u64 i = 0; i < keys; ++i) {
+    ASSERT_EQ(b.put(wl::make_key(i, 16), 4096, i + 1), Status::kOk) << i;
+    acked[i] = i + 1;
+  }
+  Rng rng(11);
+  for (u64 op = 0; op < updates_per_key * keys; ++op) {
+    const u64 k = rng.below(keys);
+    const u64 fp = keys + op + 1;
+    const Status s = b.put(wl::make_key(k, 16), 4096, fp);
+    if (s == Status::kOk) {
+      acked[k] = fp;
+    } else {
+      ASSERT_EQ(s, Status::kDeviceFull);
+    }
+    // The staged buffer always has a free write block to flush into, so
+    // the store never holds more than the device does. A defrag that
+    // found none used to stage records past the end of its block.
+    ASSERT_LE(b.bed.store().device_bytes_used(), capacity) << "update " << op;
+  }
+  b.drain();
+  EXPECT_EQ(b.bed.store().record_count(), keys);
+  for (const auto& [k, fp] : acked) {
+    auto [s, v] = b.get(wl::make_key(k, 16));
+    ASSERT_EQ(s, Status::kOk) << k;
+    ASSERT_EQ(v.fingerprint, fp) << k;
+  }
+}
+
+// At 68% full, defrag used to append records past the end of its write
+// block when no write block was free; from 69% the store wedged, with
+// drain never calling back.
+TEST(HashKvNearlyFull, DefragNeverOverrunsAWriteBlock) {
+  fill_and_update_near_full(0.68, 40);
+}
+TEST(HashKvNearlyFull, DrainCallsBackOnceUpdatesFillTheDevice) {
+  fill_and_update_near_full(0.72, 10);
+}
+
+// Fresh keys until the store refuses one: the staged buffer still has a
+// write block to flush into, so drain calls back and every record reads.
+TEST(HashKvNearlyFull, DrainCallsBackOnAFullDevice) {
+  Bed b;
+  u64 ok = 0;
+  Status s = Status::kOk;
+  for (u64 i = 0; s == Status::kOk; ++i) {
+    s = b.put(wl::make_key(i, 16), 4096, i + 1);
+    ok += s == Status::kOk;
+  }
+  EXPECT_EQ(s, Status::kDeviceFull);
+  b.drain();
+  EXPECT_EQ(b.bed.store().record_count(), ok);
+  EXPECT_LE(b.bed.store().device_bytes_used(),
+            b.bed.device().capacity_bytes());
+  for (u64 i = 0; i < ok; i += 97)
+    EXPECT_EQ(b.get(wl::make_key(i, 16)).second.fingerprint, i + 1);
+}
+
+// --- the primary index against a std::map model ------------------------------
+
+// Keys whose hashes share their low 32 bits share a home slot and a tag,
+// so only the key comparison tells them apart; erases shift the probe
+// run back across the end of the slot array.
+TEST(HashKvIndex, KeyComparisonSeparatesCollidingHashes) {
+  std::vector<std::string> keys;
+  for (int i = 0; i < 40; ++i) keys.push_back("key" + std::to_string(i));
+  auto key_of = [&](u32 id) -> std::string_view { return keys[id]; };
+  auto hash = [](u32 id) { return ((u64)id << 32) | 0xffffffffull; };
+  KeyIndex index;
+  for (u32 id = 0; id < 40; ++id) {
+    ASSERT_EQ(index.find(hash(id), keys[id], key_of), KeyIndex::kNone);
+    index.insert(hash(id), id);
+  }
+  for (u32 id = 0; id < 40; ++id)
+    EXPECT_EQ(index.find(hash(id), keys[id], key_of), id);
+  for (u32 id = 0; id < 40; id += 3) index.erase(hash(id), id);
+  EXPECT_EQ(index.size(), 26u);
+  for (u32 id = 0; id < 40; ++id)
+    EXPECT_EQ(index.find(hash(id), keys[id], key_of),
+              id % 3 == 0 ? KeyIndex::kNone : id);
+  index.clear();
+  EXPECT_EQ(index.find(hash(1), keys[1], key_of), KeyIndex::kNone);
+}
+
+
+// Deletes and re-puts inside one buffer generation, then flush, defrag
+// and a crash cut: every key reads its latest fingerprint, and the
+// store's record count and live bytes match the model throughout.
+TEST(HashKvIndex, MatchesAMapModelThroughDefragAndACrash) {
+  harness::HashKvBedConfig c = small_bed_cfg();
+  c.crash_tracking = true;
+  harness::HashKvBed bed(c);
+  std::map<std::string, std::pair<u32, u64>> model;  // key -> (vsize, fp)
+  auto put = [&](const std::string& k, u32 vsize, u64 fp) {
+    Status out = Status::kIoError;
+    bed.store().put(k, ValueDesc{vsize, fp}, [&out](Status s) { out = s; });
+    bed.eq().run();
+    ASSERT_EQ(out, Status::kOk);
+    model[k] = {vsize, fp};
+  };
+  auto del = [&](const std::string& k) {
+    Status out = Status::kIoError;
+    bed.store().del(k, [&out](Status s) { out = s; });
+    bed.eq().run();
+    ASSERT_EQ(out, model.erase(k) ? Status::kOk : Status::kNotFound);
+  };
+  auto drain = [&] {
+    bool drained = false;
+    bed.store().drain([&drained] { drained = true; });
+    bed.eq().run();
+    ASSERT_TRUE(drained);
+  };
+  auto check = [&](const char* when) {
+    u64 bytes = 0;
+    for (const auto& [k, v] : model) bytes += k.size() + v.first;
+    EXPECT_EQ(bed.store().record_count(), model.size()) << when;
+    EXPECT_EQ(bed.store().app_bytes_live(), bytes) << when;
+    for (u64 i = 0; i < 320; ++i) {
+      const std::string k = wl::make_key(i, 16);
+      Status s = Status::kIoError;
+      ValueDesc v;
+      bed.store().get(k, [&](Status st, ValueDesc vd) {
+        s = st;
+        v = vd;
+      });
+      bed.eq().run();
+      auto it = model.find(k);
+      if (it == model.end()) {
+        ASSERT_EQ(s, Status::kNotFound) << when << " " << k;
+      } else {
+        ASSERT_EQ(s, Status::kOk) << when << " " << k;
+        ASSERT_EQ(v.fingerprint, it->second.second) << when << " " << k;
+      }
+    }
+  };
+
+  u64 fp = 0;
+  for (u64 i = 0; i < 200; ++i) put(wl::make_key(i, 16), 2000, ++fp);
+  drain();  // every record on the device
+  check("after the fill");
+
+  // One buffer generation: a device-resident key is deleted and re-put; a
+  // staged key is deleted, a new key is put, and the staged key returns.
+  const std::string on_device = wl::make_key(3, 16);
+  const std::string staged = wl::make_key(250, 16);
+  const std::string fresh = wl::make_key(251, 16);
+  del(on_device);
+  put(on_device, 300, ++fp);
+  put(staged, 300, ++fp);
+  del(staged);
+  put(fresh, 300, ++fp);
+  check("inside the generation");
+  put(staged, 400, ++fp);
+  del(wl::make_key(7, 16));
+  check("before the flush");
+  drain();
+  check("after the flush");
+
+  // Updates and deletes until defrag has rewritten blocks.
+  Rng rng(5);
+  while (bed.store().defrags_run() < 20) {
+    const std::string k = wl::make_key(rng.below(320), 16);
+    if (rng.below(8) == 0) {
+      del(k);
+    } else {
+      put(k, (u32)rng.range(100, 6000), ++fp);
+    }
+  }
+  check("after defrag");
+
+  // Deletes are not durable, so re-put every deleted key before the cut:
+  // then the drained state is exactly the model.
+  for (u64 i = 0; i < 320; ++i)
+    if (!model.count(wl::make_key(i, 16)))
+      put(wl::make_key(i, 16), 500, ++fp);
+  drain();
+  const harness::CrashOutcome out = bed.simulate_crash();
+  EXPECT_EQ(out.lost_units, 0u);
+  EXPECT_EQ(out.recovered_units, model.size());
+  EXPECT_EQ(bed.store().op_pool_usage().live, 0u);
+  check("after the crash");
+  put(fresh, 700, ++fp);
+  del(on_device);
+  drain();
+  check("after recovery");
 }
 
 // --- config validation: one seeded violation per rule -----------------------
