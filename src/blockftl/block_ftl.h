@@ -21,20 +21,11 @@
 
 #include <deque>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/flat_lru.h"
 #include "common/slot_pool.h"
-#include "flash/controller.h"
-#include "sim/event_queue.h"
-#include "sim/task.h"
-#include "ssd/allocator.h"
-#include "ssd/audit.h"
-#include "ssd/config.h"
-#include "ssd/fault.h"
-#include "ssd/stats.h"
-#include "ssd/write_buffer.h"
+#include "ssd/ftl_core.h"
 
 #include "common/thread_annotations.h"
 
@@ -69,7 +60,7 @@ struct BlockFtlConfig {
   u32 oob_read_bytes = 64;
 };
 
-class BlockFtl {
+class BlockFtl final : public ssd::FtlCore {
  public:
   KVSIM_THREAD_CONFINED;
   using Done = sim::Fn<void(Status)>;
@@ -79,7 +70,6 @@ class BlockFtl {
 
   BlockFtl(sim::EventQueue& eq, flash::FlashController& flash,
            const ssd::SsdConfig& dev, const BlockFtlConfig& cfg);
-  ~BlockFtl();
 
   /// Write `bytes` at sector address `lba`. `fp_base` seeds the stored
   /// per-slot fingerprints (slot i of the request stores mix64(fp_base + i)).
@@ -106,21 +96,14 @@ class BlockFtl {
     return live_slots_ * (u64)cfg_.logical_page_bytes;
   }
 
-  [[nodiscard]] const ssd::FtlStats& stats() const { return stats_; }
-  [[nodiscard]] u64 free_blocks() const { return alloc_.free_blocks(); }
   [[nodiscard]] u64 cache_hits() const { return cache_hits_; }
   [[nodiscard]] u64 cache_lookups() const { return cache_lookups_; }
-  [[nodiscard]] u64 buffer_stalls() const {
-    return buffer_.total_stall_events();
-  }
-  /// Wear telemetry (erase counts live in the allocator).
-  [[nodiscard]] const ssd::BlockAllocator& allocator() const { return alloc_; }
 
   /// KVSIM_AUDIT: cross-check the slot map, valid counters, and event
   /// clamps against the shadow ground truth. No-op when auditing is
   /// compiled out; throws ssd::AuditFailure on divergence. Runs
   /// automatically on flush() and when garbage collection stops.
-  void audit_verify() const;
+  void audit_verify() const override;
 
   // --- crash / power-loss model ----------------------------------------
   /// Device-side counters of one power-loss + mount cycle.
@@ -153,22 +136,8 @@ class BlockFtl {
   /// Occupancy of the pooled per-read state (crash-recovery checks).
   [[nodiscard]] PoolUsage read_pool_usage() const { return reads_.usage(); }
 
-  /// Arm (plan.enabled) or disarm fault injection. Disarmed, no injector
-  /// exists and the flash hot path is exactly the pre-fault one. Arming
-  /// mid-run is allowed; the injector's wear clock starts at zero.
-  void set_fault_plan(const ssd::FaultPlan& plan);
-  /// The active injector, or nullptr when faults are disarmed.
-  [[nodiscard]] const ssd::FaultInjector* fault_injector() const {
-    return faults_.get();
-  }
-
  private:
   static constexpr u64 kUnmapped = ~0ull;
-  /// kBad: a grown bad block — retired after a program/erase failure.
-  /// Never erased, never re-allocated, skipped by GC; any still-valid
-  /// slots on it stay readable (dead capacity until they are invalidated
-  /// or relocated by media recovery).
-  enum BlockState : u8 { kFree = 0, kOpen, kSealed, kErasing, kBad };
 
   struct Starved {
     u64 lpn;
@@ -176,18 +145,14 @@ class BlockFtl {
     bool seq;
   };
 
-  struct WritePoint {
-    std::optional<flash::BlockId> block;
-    u32 next_page = 0;          // next page index inside `block`
+  // Crash tracking stages the open page's OOB records at append time, so
+  // they match the page's physical contents even if a slot is invalidated
+  // while buffered.
+  struct WritePoint : ssd::WritePoint {
     std::vector<u64> pending;   // lpns buffered for the open page
     bool all_seq = true;        // every buffered slot arrived in a seq run
     u64 last_flush_arm = 0;     // generation counter for the flush timer
-    TimeNs last_issue_at = 0;   // latest program issue time of this block
     std::deque<Starved> starved;  // slots waiting for a free block
-    // Crash tracking: OOB records of the open page, captured at append
-    // time so they match the page's physical contents even if a slot is
-    // invalidated while buffered. Handed to the controller at seal.
-    std::vector<flash::OobEntry> staged;
   };
 
   [[nodiscard]] u32 slots_per_page() const {
@@ -199,7 +164,6 @@ class BlockFtl {
 
   void write_slot(u64 lpn, u64 fp, bool seq);
   bool append_slot(WritePoint& wp, u64 lpn, u64 fp, bool seq, bool is_gc);
-  bool ensure_block(WritePoint& wp, bool is_gc);
   void seal_page(WritePoint& wp, bool is_gc);
   void arm_flush_timer(WritePoint& wp);
   /// Unmap `lpn`'s current slot. `fresh_garbage` marks invalidations
@@ -224,40 +188,28 @@ class BlockFtl {
   }
   void maybe_readahead(u64 next_lpn);
 
-  // --- garbage collection ---
-  void maybe_start_gc();
-  void run_gc();
-  void migrate_and_erase(flash::BlockId victim);
-  void finish_gc(flash::BlockId victim);
-  void on_block_freed();
-
-  // --- fault recovery ---
-  /// True (and the command was answered kDeviceBusy) when the front end
-  /// is inside a stall-induced busy window.
-  bool busy_rejected(Done& done);
-  bool busy_rejected_read(ReadDone& done);
+  // --- FtlCore hooks ---
+  /// Futility: a victim with (almost) no invalid slots cannot create net
+  /// free space; after several such victims in a row GC pauses until an
+  /// invalidation (overwrite / TRIM) makes it productive again — a full
+  /// drive simply runs with its over-provisioning as the free pool.
+  bool gc_victim_chosen(u32 valid) override;
+  void gc_victim_pages(flash::BlockId victim,
+                       std::vector<flash::PageRead>& reads) override;
+  void gc_migrate(flash::BlockId victim) override;
+  bool gc_cycle_futile(bool) override { return false; }
+  void on_block_freed() override;
+  /// Close any write point still filling `b`; its buffered slots re-route
+  /// through the GC write point.
+  void close_open_page(flash::BlockId b) override;
   /// Remap every live slot of page `p` onto a fresh block (media scrub /
   /// failed-program re-drive). Slots that find no block wait in
   /// recovery_starved_.
-  void relocate_page_slots(flash::PageId p);
-  void on_read_media_error(flash::PageId p);
-  void on_program_fail(flash::PageId page);
-  /// Mark `b` as a grown bad block, closing any write point still
-  /// filling it (its buffered slots re-route through the write path).
-  void retire_block(flash::BlockId b);
+  void relocate_page(flash::PageId p) override;
   void close_write_point(WritePoint& wp, flash::BlockId b);
-  void retire_erase_failed(flash::BlockId b);
 
-  sim::EventQueue& eq_;
-  flash::FlashController& flash_;
-  flash::FlashGeometry geom_;
   BlockFtlConfig cfg_;
-  ssd::BlockAllocator alloc_;
-  ssd::WriteBuffer buffer_;
-  sim::Resource ftl_core_;  // serialized firmware CPU
-  u32 gc_reserved_blocks_;
-  u32 gc_low_watermark_;
-  TimeNs dispatch_ns_;
+  sim::Resource cpu_;  // serialized firmware CPU
 
   u64 total_slots_exported_ = 0;
   u64 live_slots_ = 0;
@@ -265,17 +217,11 @@ class BlockFtl {
   std::vector<u64> map_;          // lpn -> global slot index (or kUnmapped)
   std::vector<u64> rmap_;         // global slot index -> lpn (or kUnmapped)
   std::vector<u64> content_;      // global slot index -> fingerprint
-  std::vector<u32> valid_count_;  // per block: live slots
-  std::vector<u8> block_state_;   // per block: BlockState
 
   std::vector<WritePoint> wps_;
   u32 wp_rr_ = 0;
   u32 seq_wp_ = 0;  // current write point for sequential streams
-  std::vector<u8> buffered_pages_;  // per page: open or programming
-  // Per block: pages buffered or with an in-flight program. GC must not
-  // pick a victim before its last program lands (the reorg timer can
-  // delay a program past the block's kSealed transition).
-  std::vector<u32> buffered_count_;
+  WritePoint gc_wp_;
 
   // sequential stream detection
   u64 last_write_end_ = ~0ull;
@@ -289,34 +235,16 @@ class BlockFtl {
   u64 cache_hits_ = 0;
   u64 cache_lookups_ = 0;
 
-  // GC state. A victim with (almost) no invalid slots cannot create net
-  // free space; after several such cycles in a row GC pauses until an
-  // invalidation (overwrite / TRIM) makes it productive again — a full
-  // drive simply runs with its over-provisioning as the free pool.
-  bool gc_running_ = false;
-  bool gc_stuck_ = false;
-  u32 gc_futile_streak_ = 0;
-  WritePoint gc_wp_;
-
-  // flush/drain bookkeeping
-  u64 outstanding_programs_ = 0;
-  std::vector<sim::Task> drain_waiters_;
-
   // Crash tracking: monotonic host-order stamp carried in each OOB entry.
   // Programs complete out of host order across write points, so the mount
   // rebuild needs this, not program order, to pick a slot's newest copy.
   u64 write_seq_ = 0;
 
-  // Fault injection (null unless a plan is armed) and slots whose
-  // recovery re-placement is waiting for a free block.
-  std::unique_ptr<ssd::FaultInjector> faults_;
+  // Slots whose recovery re-placement is waiting for a free block.
   std::deque<Starved> recovery_starved_;
 
-  // KVSIM_AUDIT shadow models (null when auditing is compiled out)
-  std::unique_ptr<ssd::FlashAudit> flash_audit_;
+  // KVSIM_AUDIT shadow model (null when auditing is compiled out)
   std::unique_ptr<ssd::SlotMapAudit> map_audit_;
-
-  ssd::FtlStats stats_;
 };
 
 }  // namespace kvsim::blockftl

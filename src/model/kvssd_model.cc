@@ -70,7 +70,7 @@ ModelOutput predict(const ModelInput& in) {
                        (double)in.nvme.command_bytes / in.nvme.bus_bytes_per_ns));
   add("pcie-link", (double)(in.key_bytes + in.value_bytes) /
                        in.nvme.bus_bytes_per_ns);
-  add("kv-core", (double)ftl.dispatch_ns);
+  add("kv-core", (double)in.dev.firmware_dispatch_ns);
   // Managers are a pool: demand spreads over them, but one op still holds
   // a manager for the full key-handling time.
   add("index-managers",
