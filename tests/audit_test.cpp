@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "blockftl/block_ftl.h"
 #include "common/rng.h"
 #include "flash/controller.h"
 #include "kvftl/kv_ftl.h"
 #include "ssd/audit.h"
+#include "ssd/ftl_core.h"
 #include "ssd/telemetry.h"
 
 namespace kvsim {
@@ -229,6 +231,49 @@ TEST(AuditClamps, TelemetryExposesClampCounter) {
   u64 total = 0;
   for (const auto& s : col.slices()) total += s.clamped_schedules;
   EXPECT_EQ(total, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Block lifecycle: the one state machine both FTLs run on
+// ---------------------------------------------------------------------------
+
+using S = ssd::BlockState;
+constexpr std::pair<S, S> kLegalTransitions[] = {
+    {S::kFree, S::kOpen},    {S::kFree, S::kIndexBlock},
+    {S::kOpen, S::kSealed},  {S::kSealed, S::kErasing},
+    {S::kErasing, S::kFree}, {S::kErasing, S::kBad},
+    {S::kOpen, S::kBad},     {S::kSealed, S::kBad}};
+
+TEST(BlockLifecycleAudit, DetectsEraseOfOpenBlock) {
+  try {
+    ssd::audit_block_transition(5, S::kOpen, S::kErasing);
+    FAIL() << "erasing an open block passed the audit";
+  } catch (const ssd::AuditFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("block 5 moved open -> erasing"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(BlockLifecycleAudit, AcceptsExactlyTheLegalTransitions) {
+  const S all[] = {S::kFree,    S::kOpen,       S::kSealed,
+                   S::kErasing, S::kIndexBlock, S::kBad};
+  int legal = 0;
+  for (S from : all)
+    for (S to : all) {
+      bool expect_ok = false;
+      for (const auto& [f, t] : kLegalTransitions)
+        expect_ok = expect_ok || (f == from && t == to);
+      legal += expect_ok;
+      if (expect_ok) {
+        EXPECT_NO_THROW(ssd::audit_block_transition(0, from, to));
+      } else {
+        EXPECT_THROW(ssd::audit_block_transition(0, from, to),
+                     ssd::AuditFailure)
+            << (int)from << " -> " << (int)to;
+      }
+    }
+  EXPECT_EQ(legal, 8);
 }
 
 // ---------------------------------------------------------------------------
