@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the simulator's own hot paths:
 // event queue throughput, flash scheduling, index model, Bloom filter,
-// Zipf sampling, hashing, histogram recording. These bound how large an
-// experiment the simulator can run per wall-clock second.
+// SST point lookup and compaction merge, Zipf sampling, hashing,
+// histogram recording. These bound how large an experiment the simulator
+// can run per wall-clock second.
 //
 // Besides the normal google-benchmark CLI, the binary has a smoke mode:
 //
@@ -18,8 +19,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/histogram.h"
@@ -29,7 +32,9 @@
 #include "harness/stacks.h"
 #include "kvftl/bloom.h"
 #include "kvftl/index_model.h"
+#include "lsm/sst.h"
 #include "sim/event_queue.h"
+#include "workload/workload.h"
 
 // --- counting global allocator ---------------------------------------------
 // Counts every heap allocation in the process so the event-queue benchmarks
@@ -128,6 +133,60 @@ void BM_BloomInsertQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BloomInsertQuery);
+
+/// The LSM bed's key shape: a 2-byte tenant tag on a 16-byte padded id.
+std::string sst_key(u64 id) { return "ab" + wl::make_key(id, 16); }
+
+// Point lookups in one SST of 200K keys (even ids): hits (arg 1) or
+// misses (arg 0, odd ids), in random order over 64K probe keys, so most
+// probes miss the CPU caches as the LSM bed's reads do.
+void BM_SstFind(benchmark::State& state) {
+  constexpr u64 kKeys = 200'000, kProbes = 1 << 16;
+  lsm::SstBuilder b;
+  for (u64 i = 0; i < kKeys; ++i)
+    b.add(sst_key(2 * i), ValueDesc{1024, i}, i + 1, false);
+  const auto sst = b.finish(1);
+  const u64 miss = state.range(0) ? 0 : 1;
+  std::vector<std::string> probes;
+  std::vector<u64> hashes;
+  Rng rng(5);
+  for (u64 i = 0; i < kProbes; ++i) {
+    probes.push_back(sst_key(2 * rng.below(kKeys) + miss));
+    hashes.push_back(hash64(probes.back()));
+  }
+  i64 found = 0;
+  u64 i = 0;
+  for (auto _ : state) {
+    const u64 p = i++ & (kProbes - 1);
+    found += sst->find(probes[p], hashes[p]) >= 0;
+  }
+  if (found != (miss ? 0 : (i64)state.iterations())) std::abort();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SstFind)->Arg(1)->Arg(0);
+
+// Compaction's k-way merge of k tables of 50K keys each (arg k). Table t
+// holds the multiples of t + 1, so the inputs overlap and shadow each
+// other; items are input entries.
+void BM_SstMerge(benchmark::State& state) {
+  constexpr u64 kKeys = 50'000;
+  const u64 k = (u64)state.range(0);
+  std::vector<std::shared_ptr<lsm::Sst>> inputs;
+  for (u64 t = 0; t < k; ++t) {
+    lsm::SstBuilder b;
+    for (u64 i = 0; i < kKeys; ++i)
+      b.add(sst_key(i * (t + 1)), ValueDesc{1024, i}, t * kKeys + i + 1,
+            false);
+    inputs.push_back(b.finish(t + 1));
+  }
+  for (auto _ : state) {
+    u64 next_id = 1000;
+    const auto out = lsm::merge_ssts(inputs, false, 16 * MiB, next_id);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * (i64)(k * kKeys));
+}
+BENCHMARK(BM_SstMerge)->Arg(2)->Arg(5)->Unit(benchmark::kMillisecond);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfGenerator z(10'000'000, 0.99);

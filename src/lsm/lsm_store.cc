@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 #include <stdexcept>
+
+#include "ssd/audit.h"
 
 namespace kvsim::lsm {
 
@@ -32,6 +35,21 @@ u64 mem_entry_bytes(std::string_view key, const ValueDesc& v) {
 const LsmConfig& validated(const LsmConfig& cfg) {
   cfg.validate();
   return cfg;
+}
+
+/// KVSIM_AUDIT: once a flush or a compaction has installed `fresh`, check
+/// that each new table's keys ascend and that every level >= 1 is sorted
+/// and free of overlaps.
+using Levels = std::vector<std::vector<std::shared_ptr<Sst>>>;
+void audit_install(std::span<const std::shared_ptr<Sst>> fresh,
+                   const Levels& levels) {
+#if KVSIM_AUDIT
+  for (const auto& s : fresh) audit_sst_keys(*s);
+  for (u32 l = 1; l < (u32)levels.size(); ++l) audit_level(l, levels[l]);
+#else
+  (void)fresh;
+  (void)levels;
+#endif
 }
 }  // namespace
 
@@ -177,11 +195,13 @@ void LsmStore::schedule_flush() {
   flush_running_ = true;
   ++flushes_;
 
-  std::vector<SstEntry> entries;
-  entries.reserve(immutable_->size());
+  SstBuilder builder;
+  u64 key_bytes = 0;
+  for (const auto& [k, e] : *immutable_) key_bytes += k.size();
+  builder.reserve(immutable_->size(), key_bytes);
   for (const auto& [k, e] : *immutable_)
-    entries.push_back(SstEntry{k, e.value, e.seq, e.tombstone});
-  auto sst = build_sst(next_sst_id_++, std::move(entries));
+    builder.add(k, e.value, e.seq, e.tombstone);
+  auto sst = builder.finish(next_sst_id_++);
   char name[32];
   std::snprintf(name, sizeof(name), "sst-%llu", (unsigned long long)sst->id);
   sst->file = fs_.create(name);
@@ -238,6 +258,7 @@ void LsmStore::write_ssts_then(std::vector<std::shared_ptr<Sst>> ssts,
 
 void LsmStore::finish_flush(std::shared_ptr<Sst> sst) {
   levels_[0].push_back(std::move(sst));
+  audit_install({&levels_[0].back(), 1}, levels_);
   immutable_.reset();
   flush_running_ = false;
   // Crash mode archives rotated WAL segments instead of deleting them:
@@ -306,7 +327,7 @@ bool LsmStore::try_start_compaction() {
         if (victim->compacting) continue;
         bool clash = false;
         for (const auto& s : levels_[i + 1])
-          if (s->overlaps(victim->smallest, victim->largest) &&
+          if (s->overlaps(victim->smallest(), victim->largest()) &&
               s->compacting)
             clash = true;
         if (clash) continue;
@@ -336,10 +357,11 @@ void LsmStore::run_compaction_victim(u32 level,
     inputs_lo.push_back(victim ? victim : levels_[level][0]);
   }
 
-  std::string lo = inputs_lo.front()->smallest, hi = inputs_lo.front()->largest;
+  std::string_view lo = inputs_lo.front()->smallest();
+  std::string_view hi = inputs_lo.front()->largest();
   for (const auto& s : inputs_lo) {
-    lo = std::min(lo, s->smallest);
-    hi = std::max(hi, s->largest);
+    lo = std::min(lo, s->smallest());
+    hi = std::max(hi, s->largest());
   }
   std::vector<std::shared_ptr<Sst>> inputs_hi;
   for (const auto& s : levels_[level + 1])
@@ -355,10 +377,10 @@ void LsmStore::run_compaction_victim(u32 level,
     std::vector<std::shared_ptr<Sst>> sorted = inputs_lo;
     std::sort(sorted.begin(), sorted.end(),
               [](const auto& a, const auto& b) {
-                return a->smallest < b->smallest;
+                return a->smallest() < b->smallest();
               });
     for (size_t i = 0; i + 1 < sorted.size() && movable; ++i)
-      movable = !(sorted[i]->largest >= sorted[i + 1]->smallest);
+      movable = !(sorted[i]->largest() >= sorted[i + 1]->smallest());
   }
   if (movable) {
     ++trivial_moves_;
@@ -383,51 +405,18 @@ void LsmStore::run_compaction_victim(u32 level,
            level, inputs_lo, inputs_hi] {
     auto step = wstep.lock();
     if (rs->idx == inputs->size()) {
-      // All inputs read; merge on the background CPU.
-      std::vector<SstEntry> merged;
+      // All inputs read; merge on the background CPU. Tombstones die at
+      // the bottom: no level below the output holds data.
       u64 kvps = 0;
       for (const auto& s : *inputs) kvps += s->entries.size();
-      merged.reserve(kvps);
-      for (const auto& s : *inputs)
-        merged.insert(merged.end(), s->entries.begin(), s->entries.end());
-      std::sort(merged.begin(), merged.end(),
-                [](const SstEntry& a, const SstEntry& b) {
-                  return a.key != b.key ? a.key < b.key : a.seq > b.seq;
-                });
-      // Keep newest version per key; drop tombstones at the bottom.
       bool bottom = true;
       for (u32 j = level + 2; j < (u32)levels_.size(); ++j)
         if (!levels_[j].empty()) bottom = false;
-      std::vector<SstEntry> kept;
-      kept.reserve(merged.size());
-      std::string last_key;
-      bool have_last = false;
-      for (auto& e : merged) {
-        if (have_last && last_key == e.key) continue;
-        last_key = e.key;
-        have_last = true;
-        if (e.tombstone && bottom) continue;  // tombstones die at the bottom
-        kept.push_back(std::move(e));
-      }
       cpu_ns_ += kvps * cfg_.compaction_cpu_per_kvp_ns;
       const TimeNs t_cpu =
           bg_cpu_.reserve(eq_.now(), kvps * cfg_.compaction_cpu_per_kvp_ns);
-
-      // Split into output SSTs.
-      std::vector<std::shared_ptr<Sst>> outputs;
-      std::vector<SstEntry> cur;
-      u64 cur_bytes = 0;
-      for (auto& e : kept) {
-        cur_bytes += entry_file_bytes(e);
-        cur.push_back(std::move(e));
-        if (cur_bytes >= cfg_.sst_target_bytes) {
-          outputs.push_back(build_sst(next_sst_id_++, std::move(cur)));
-          cur.clear();
-          cur_bytes = 0;
-        }
-      }
-      if (!cur.empty())
-        outputs.push_back(build_sst(next_sst_id_++, std::move(cur)));
+      std::vector<std::shared_ptr<Sst>> outputs =
+          merge_ssts(*inputs, bottom, cfg_.sst_target_bytes, next_sst_id_);
       for (const auto& o : outputs) {
         char name[32];
         std::snprintf(name, sizeof(name), "sst-%llu",
@@ -485,8 +474,9 @@ void LsmStore::install_compaction(
   for (auto& o : outputs) levels_[level + 1].push_back(o);
   std::sort(levels_[level + 1].begin(), levels_[level + 1].end(),
             [](const auto& a, const auto& b) {
-              return a->smallest < b->smallest;
+              return a->smallest() < b->smallest();
             });
+  audit_install(outputs, levels_);
 
   // Delete replaced files (trivial moves keep theirs).
   for (const auto& s : inputs_lo)
@@ -557,7 +547,7 @@ void LsmStore::get_from_ssts(u32 slot) {
   }
   const Sst& sst = *g.candidates[g.next];
   cpu_ns_ += cfg_.bloom_check_ns;
-  if (!sst.bloom->may_contain(g.khash)) {
+  if (!sst.bloom.may_contain(g.khash)) {
     ++g.next;
     eq_.schedule_after(cfg_.bloom_check_ns,
                        [this, slot] { get_from_ssts(slot); });
@@ -831,7 +821,7 @@ std::vector<std::string> LsmStore::debug_locate(std::string_view key) const {
       char where[64];
       std::snprintf(where, sizeof(where), "L%u:sst-%llu ovl=%d bloom=%d", l,
                     (unsigned long long)s->id, (int)s->overlaps(key, key),
-                    (int)s->bloom->may_contain(hash64(key)));
+                    (int)s->bloom.may_contain(hash64(key)));
       add(where, s->entries[(size_t)i].seq,
           s->entries[(size_t)i].value.fingerprint,
           s->entries[(size_t)i].tombstone);

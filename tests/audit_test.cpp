@@ -4,6 +4,8 @@
 // is OFF audit_verify() is a no-op and they degrade to smoke tests.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -11,6 +13,7 @@
 #include "common/rng.h"
 #include "flash/controller.h"
 #include "kvftl/kv_ftl.h"
+#include "lsm/sst.h"
 #include "ssd/audit.h"
 #include "ssd/ftl_core.h"
 #include "ssd/telemetry.h"
@@ -274,6 +277,54 @@ TEST(BlockLifecycleAudit, AcceptsExactlyTheLegalTransitions) {
       }
     }
   EXPECT_EQ(legal, 8);
+}
+
+// ---------------------------------------------------------------------------
+// LSM tables: each SST's keys ascend; a level >= 1's files are sorted by
+// smallest key and do not overlap. LsmStore checks both after every flush
+// and compaction install in the KVSIM_AUDIT build.
+// ---------------------------------------------------------------------------
+
+std::shared_ptr<lsm::Sst> lsm_table(u64 id,
+                                    std::initializer_list<const char*> keys) {
+  lsm::SstBuilder b;
+  u64 seq = 0;
+  for (const char* k : keys) b.add(k, ValueDesc{100, seq}, ++seq, false);
+  return b.finish(id);
+}
+
+TEST(LsmTableAudit, DetectsKeysOutOfOrder) {
+  EXPECT_NO_THROW(lsm::audit_sst_keys(*lsm_table(1, {"a", "b", "c"})));
+  EXPECT_NO_THROW(lsm::audit_sst_keys(*lsm_table(2, {})));
+  try {
+    lsm::audit_sst_keys(*lsm_table(3, {"a", "c", "b"}));
+    FAIL() << "a table with keys out of order passed the audit";
+  } catch (const ssd::AuditFailure& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "sst-3 entry 2 does not sort after entry 1"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(lsm::audit_sst_keys(*lsm_table(4, {"a", "b", "b"})),
+               ssd::AuditFailure);  // a key twice
+}
+
+TEST(LsmTableAudit, DetectsOverlappingOrUnsortedLevelFiles) {
+  const auto ab = lsm_table(1, {"a", "b"});
+  const auto cd = lsm_table(2, {"c", "d"});
+  const auto bc = lsm_table(3, {"b", "c"});
+  EXPECT_NO_THROW(lsm::audit_level(1, {ab, cd}));
+  EXPECT_NO_THROW(lsm::audit_level(1, {}));
+  EXPECT_THROW(lsm::audit_level(1, {cd, ab}), ssd::AuditFailure);
+  try {
+    lsm::audit_level(2, {ab, bc, cd});
+    FAIL() << "overlapping files in one level passed the audit";
+  } catch (const ssd::AuditFailure& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "L2 sst-1 and sst-3 overlap or are out of order"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------

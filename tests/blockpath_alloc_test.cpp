@@ -7,16 +7,21 @@
 // lookups use the point index, and a one-extent file read goes straight
 // to the device. The hashkv store keeps each op in a pooled record too,
 // and its index and key lists hold record ids, not key copies. A count
-// that grows means a per-op allocation crept back into the path.
+// that grows means a per-op allocation crept back into the path. SSTs
+// keep their keys in one arena per table, so building or merging tables
+// allocates a fixed number of times per table, not once per key.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "harness/runner.h"
 #include "harness/stacks.h"
+#include "lsm/sst.h"
 #include "workload/workload.h"
 
 // --- counting global allocator ---------------------------------------------
@@ -344,6 +349,73 @@ TEST(BlockPathAllocation, HashKvBedRetrieveAddsNothingToTheStoreGet) {
   HashKvBed bed(c);
   put_and_drain(bed, 600, 1 * KiB);
   expect_bed_read_adds_nothing(bed, 600, 10);
+}
+
+// --- SST build and compaction merge ---------------------------------------
+
+// A table makes a fixed number of allocations whatever its size: its
+// entries, key arena, key hashes, point index, Bloom filter and the shared
+// table itself. A merge adds its table, cursor, pick, cut and output
+// lists to that count per output table. Keys are 18 bytes, past
+// std::string's inline buffer, so a per-key allocation would show.
+constexpr unsigned long long kSstBuildAllocs = 6;
+constexpr unsigned long long kSstMergeAllocs = 5;
+
+std::vector<std::string> table_keys(u64 n, u64 stride, u64 first) {
+  std::vector<std::string> keys;
+  for (u64 i = 0; i < n; ++i)
+    keys.push_back(wl::make_key(first + i * stride, 18));
+  return keys;
+}
+
+std::shared_ptr<lsm::Sst> build_table(u64 id,
+                                      const std::vector<std::string>& keys,
+                                      u64 seq) {
+  u64 key_bytes = 0;
+  for (const std::string& k : keys) key_bytes += k.size();
+  lsm::SstBuilder b;
+  b.reserve(keys.size(), key_bytes);
+  for (const std::string& k : keys) b.add(k, ValueDesc{1024, seq}, seq, false);
+  return b.finish(id);
+}
+
+TEST(BlockPathAllocation, SstBuildIsFixedWhateverItsSize) {
+  for (u64 n : {10ull, 1000ull, 100000ull}) {
+    const std::vector<std::string> keys = table_keys(n, 1, 0);
+    const auto before = g_allocs;
+    const auto sst = build_table(1, keys, 1);
+    EXPECT_EQ(g_allocs - before, kSstBuildAllocs) << n << " entries";
+    EXPECT_EQ(sst->entries.size(), n);
+  }
+}
+
+TEST(BlockPathAllocation, SstMergeIsFixedPerOutputTable) {
+  for (u64 n : {10ull, 1000ull, 100000ull}) {
+    // Two overlapping L0-style tables over a run of two disjoint ones.
+    const std::vector<std::shared_ptr<lsm::Sst>> inputs = {
+        build_table(1, table_keys(n, 2, 0), 3),
+        build_table(2, table_keys(n, 3, 0), 2),
+        build_table(3, table_keys(n, 1, 0), 1),
+        build_table(4, table_keys(n, 1, n), 1)};
+    for (const u64 target : {~u64{0}, u64{256 * KiB}}) {
+      u64 next_id = 10;
+      const auto before = g_allocs;
+      const auto out = lsm::merge_ssts(inputs, false, target, next_id);
+      const auto allocs = g_allocs - before;
+      if (target == ~u64{0}) {
+        ASSERT_EQ(out.size(), 1u);
+        EXPECT_EQ(allocs, kSstMergeAllocs + kSstBuildAllocs) << n;
+      } else {
+        EXPECT_LE(allocs, kSstMergeAllocs + kSstBuildAllocs * out.size())
+            << n << " entries per input, " << out.size() << " tables";
+      }
+      // Keys 0 .. 2n-1, then the multiples of 3 up to 3n-3.
+      u64 entries = 0, want = 2 * n;
+      for (const auto& t : out) entries += t->entries.size();
+      for (u64 i = 0; i < n; ++i) want += 3 * i >= 2 * n;
+      EXPECT_EQ(entries, want);
+    }
+  }
 }
 
 }  // namespace
