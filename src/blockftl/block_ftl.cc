@@ -314,6 +314,11 @@ void BlockFtl::trim(Lba lba, u64 bytes, Done done) {
   const u64 last_excl = std::min(end / lp, (u64)map_.size());
   for (u64 lpn = first; lpn < last_excl; ++lpn)
     invalidate(lpn, /*fresh_garbage=*/true);
+  // A relocated slot waiting for a block is trimmed too, or a freed block
+  // would bring its data back.
+  std::erase_if(recovery_starved_, [&](const Starved& s) {
+    return s.lpn >= first && s.lpn < last_excl;
+  });
   const TimeNs t = cpu_.reserve(eq_.now(), cfg_.trim_ns);
   eq_.schedule_at(t,
                   [done = std::move(done)]() mutable { done(Status::kOk); });

@@ -738,47 +738,74 @@ class RecoveryQueue : public ::testing::Test {};
 using Firmwares = ::testing::Types<KvFirmware, BlockFirmware>;
 TYPED_TEST_SUITE(RecoveryQueue, Firmwares);
 
+template <typename Firmware>
+void flush_all(Firmware& fw) {
+  bool done = false;
+  fw.ftl.flush([&] { done = true; });
+  fw.eq.run();
+  ASSERT_TRUE(done);
+}
+
 // Failed programs retire block after block until a relocation finds none
-// left: its units wait in the recovery queue (off the map). When a host
-// write then finds no block, GC erases the freed-up blocks and the queue
-// is re-placed first; every unit reads back.
+// left. Units 0..767 fill 6 blocks and are then deleted (GC's fodder);
+// units 1000..1015 then land while every program fails, until no block
+// is free. Returns how many of them wait in the recovery queue, off the
+// map.
+template <typename Firmware>
+u64 starve_relocations(Firmware& fw, ProgramFailSwitch& faults) {
+  for (u64 id = 0; id < 768; ++id) fw.put(id, id + 1);
+  flush_all(fw);
+  for (u64 id = 0; id < 768; ++id) fw.drop(id);
+  fw.eq.run();
+  EXPECT_EQ(fw.live_units(), 0u);
+
+  faults.on = true;
+  for (u64 id = 1000; id < 1016; ++id) fw.put(id, id + 1);
+  fw.eq.run();
+  for (int i = 0; i < 64 && fw.ftl.free_blocks() > 0; ++i) flush_all(fw);
+  flush_all(fw);
+  EXPECT_EQ(fw.ftl.free_blocks(), 0u);
+  EXPECT_GT(fw.ftl.stats().grown_bad_blocks, 20u);
+  return 16 - fw.live_units();
+}
+
+// Programs heal, and the next host write (unit 2000) finds no block and
+// runs GC, which re-places the recovery queue first.
+template <typename Firmware>
+void heal_with_one_write(Firmware& fw, ProgramFailSwitch& faults) {
+  faults.on = false;
+  fw.put(2000, 2001);
+  fw.eq.run();
+  flush_all(fw);
+  EXPECT_GT(fw.ftl.free_blocks(), 0u);
+}
+
+// Every queued unit comes back and reads back.
 TYPED_TEST(RecoveryQueue, StarvedRelocationWaitsForTheNextFreedBlock) {
   TypeParam fw;
   ProgramFailSwitch faults;
   fw.flash.set_faults(&faults);
-  auto flush = [&] {
-    bool done = false;
-    fw.ftl.flush([&] { done = true; });
-    fw.eq.run();
-    ASSERT_TRUE(done);
-  };
-  // Units 0..767 fill 6 blocks and are then deleted: GC's fodder.
-  for (u64 id = 0; id < 768; ++id) fw.put(id, id + 1);
-  flush();
-  for (u64 id = 0; id < 768; ++id) fw.drop(id);
-  fw.eq.run();
-  ASSERT_EQ(fw.live_units(), 0u);
-
-  // Units 1000..1015 land while every program fails.
-  faults.on = true;
-  for (u64 id = 1000; id < 1016; ++id) fw.put(id, id + 1);
-  fw.eq.run();
-  for (int i = 0; i < 64 && fw.ftl.free_blocks() > 0; ++i) flush();
-  flush();
-  ASSERT_EQ(fw.ftl.free_blocks(), 0u);
-  EXPECT_GT(fw.ftl.stats().grown_bad_blocks, 20u);
-  const u64 queued = 16 - fw.live_units();
-  EXPECT_GT(queued, 0u);  // waiting in the recovery queue, off the map
-
-  // Programs heal; the next host write finds no block and runs GC.
-  faults.on = false;
-  fw.put(2000, 2001);
-  fw.eq.run();
-  flush();
-  EXPECT_GT(fw.ftl.free_blocks(), 0u);
+  EXPECT_GT(starve_relocations(fw, faults), 0u);
+  heal_with_one_write(fw, faults);
   EXPECT_EQ(fw.live_units(), 17u);
   for (u64 id = 1000; id < 1016; ++id)
     EXPECT_EQ(fw.get(id), TypeParam::stored(id + 1)) << id;
+  EXPECT_EQ(fw.get(2000), TypeParam::stored(2001));
+  fw.flash.set_faults(nullptr);
+}
+
+// A unit trimmed (block FTL) or removed (KV FTL) while it waits in the
+// recovery queue stays gone when a freed block re-places the queue.
+TYPED_TEST(RecoveryQueue, UnitDroppedWhileQueuedStaysDropped) {
+  TypeParam fw;
+  ProgramFailSwitch faults;
+  fw.flash.set_faults(&faults);
+  EXPECT_GT(starve_relocations(fw, faults), 0u);
+  for (u64 id = 1000; id < 1016; ++id) fw.drop(id);
+  fw.eq.run();
+  EXPECT_EQ(fw.live_units(), 0u);
+  heal_with_one_write(fw, faults);
+  EXPECT_EQ(fw.live_units(), 1u);
   EXPECT_EQ(fw.get(2000), TypeParam::stored(2001));
   fw.flash.set_faults(nullptr);
 }
