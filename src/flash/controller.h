@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/thread_annotations.h"
@@ -70,13 +71,16 @@ struct PageOob {
   std::vector<OobEntry> entries;
 };
 
+#define KVSIM_FLASH_STATS(X)                                            \
+  X(page_reads)                                                         \
+  X(page_programs)                                                      \
+  X(block_erases)                                                       \
+  X(read_retries) /* ECC soft-decode retry rounds */                    \
+  X(bytes_read)   /* bytes transferred to the controller on reads */    \
+  X(bytes_programmed)
+
 struct FlashStats {
-  u64 page_reads = 0;
-  u64 page_programs = 0;
-  u64 block_erases = 0;
-  u64 read_retries = 0;    ///< ECC soft-decode retry rounds
-  u64 bytes_read = 0;      ///< bytes transferred to the controller on reads
-  u64 bytes_programmed = 0;
+  KVSIM_COUNTERS(KVSIM_FLASH_STATS)
 };
 
 /// Latency decomposition of one op class into pipeline stages. For every

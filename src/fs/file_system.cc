@@ -5,26 +5,11 @@
 #include <stdexcept>
 #include <string>
 
+#include "sim/join.h"
+
 namespace kvsim::fs {
 
 namespace {
-// Status-accumulating join: completes with the first non-Ok status seen
-// (device faults propagate; later arrivals can't clear an earlier error).
-struct Join {
-  int remaining;
-  Status st = Status::kOk;
-  sim::Fn<void(Status)> then;
-  void arrive(Status s = Status::kOk) {
-    if (s != Status::kOk && st == Status::kOk) st = s;
-    if (--remaining == 0) then(st);
-  }
-};
-std::shared_ptr<Join> make_join(int n, sim::Fn<void(Status)> then) {
-  auto j = std::make_shared<Join>();
-  j->remaining = n;
-  j->then = std::move(then);
-  return j;
-}
 const FsConfig& validated(const FsConfig& cfg) {
   cfg.validate();
   return cfg;
@@ -177,7 +162,7 @@ void FileSystem::append(Handle h, u64 bytes, u64 fp_base, Done done) {
     }
   }
 
-  auto join = make_join(
+  auto join = sim::make_join(
       (int)fresh.size() + 1,
       [done = std::move(done)](Status s) mutable { done(s); });
   u64 fp = fp_base;
@@ -248,10 +233,10 @@ void FileSystem::read_blocks(Handle h, u64 first_block, u64 blocks,
     return;
   }
   auto fps = std::make_shared<u64>(0);
-  auto join = make_join((int)pieces.size(),
-                        [fps, done = std::move(done)](Status s) mutable {
-                          done(s, *fps);
-                        });
+  auto join = sim::make_join((int)pieces.size(),
+                             [fps, done = std::move(done)](Status s) mutable {
+                               done(s, *fps);
+                             });
   for (const Piece& p : pieces)
     dev_.read(p.lba, p.bytes, [fps, join](Status s, u64 fp) {
       *fps ^= fp;
@@ -292,7 +277,7 @@ void FileSystem::remove(Handle h, Done done) {
   ino.size_bytes = 0;
   ino.pieces.clear();
 
-  auto join = make_join(
+  auto join = sim::make_join(
       (int)extents.size() + 1,
       [done = std::move(done)](Status s) mutable { done(s); });
   for (const Extent& e : extents) {

@@ -7,6 +7,34 @@
 
 namespace kvsim::harness {
 
+namespace {
+
+/// A counter visitor that writes each counter as a "name": value pair.
+auto counter_kv(JsonWriter& w) {
+  return [&w](const char* name, u64 v) { w.kv(name, v); };
+}
+
+template <typename T>
+void counters_json(JsonWriter& w, const T& s) {
+  T::visit(counter_kv(w), s);
+}
+
+/// `s`'s counters as the object `key`.
+template <typename T>
+void counter_block(JsonWriter& w, const char* key, const T& s) {
+  w.key(key).begin_object();
+  counters_json(w, s);
+  w.end_object();
+}
+
+/// FtlStats' counters; the fault & recovery group only when it moved.
+void ftl_counters_json(JsonWriter& w, const ssd::FtlStats& s) {
+  ssd::FtlStats::visit_work(counter_kv(w), s);
+  if (s.any_fault_activity()) ssd::FtlStats::visit_faults(counter_kv(w), s);
+}
+
+}  // namespace
+
 void histogram_json(JsonWriter& w, const LatencyHistogram& h) {
   w.begin_object();
   w.kv("count", h.count());
@@ -49,35 +77,11 @@ void timeslices_json(JsonWriter& w, const ssd::TelemetryCollector& c) {
     w.begin_object();
     w.kv("t0_ns", (u64)s.t0);
     w.kv("t1_ns", (u64)s.t1);
-    w.kv("host_read_ops", s.host_read_ops);
-    w.kv("host_write_ops", s.host_write_ops);
-    w.kv("host_bytes_read", s.host_bytes_read);
-    w.kv("host_bytes_written", s.host_bytes_written);
-    w.kv("flash_bytes_written", s.flash_bytes_written);
-    w.kv("gc_runs", s.gc_runs);
-    w.kv("gc_foreground_runs", s.gc_foreground_runs);
-    w.kv("gc_migrated_bytes", s.gc_migrated_bytes);
-    w.kv("page_reads", s.page_reads);
-    w.kv("page_programs", s.page_programs);
-    w.kv("block_erases", s.block_erases);
-    w.kv("read_retries", s.read_retries);
-    w.kv("die_busy_ns", s.die_busy_ns);
-    w.kv("channel_busy_ns", s.channel_busy_ns);
-    w.kv("buffer_stalls", s.buffer_stalls);
-    w.kv("clamped_schedules", s.clamped_schedules);
-    if ((s.read_media_errors | s.program_failures | s.erase_failures |
-         s.grown_bad_blocks | s.remapped_units | s.busy_rejections |
-         s.op_timeouts) != 0) {
-      w.kv("read_media_errors", s.read_media_errors);
-      w.kv("program_failures", s.program_failures);
-      w.kv("erase_failures", s.erase_failures);
-      w.kv("grown_bad_blocks", s.grown_bad_blocks);
-      w.kv("remapped_units", s.remapped_units);
-      w.kv("busy_rejections", s.busy_rejections);
-      w.kv("op_timeouts", s.op_timeouts);
-    }
+    ftl_counters_json(w, s.ftl);
+    counters_json(w, s.flash);
+    counters_json(w, s.extras);
     w.kv("write_bw_bytes_per_sec", s.write_bw_bytes_per_sec());
-    w.kv("waf", s.waf());
+    w.kv("waf", s.ftl.waf());
     w.kv("die_utilization", s.die_utilization(c.num_dies()));
     w.end_object();
   }
@@ -91,54 +95,14 @@ void run_result_json(JsonWriter& w, const RunResult& r) {
   w.kv("elapsed_ns", (u64)r.elapsed);
   w.kv("errors", r.errors.total());
   w.kv("not_found", r.not_found);
-  // Fault-run extras: emitted only when the run actually saw categorized
-  // errors or host retries, so healthy-run JSON is byte-identical to
-  // pre-fault-model output.
-  if (r.errors.total() != 0) {
-    w.key("error_breakdown").begin_object();
-    w.kv("io", r.errors.io);
-    w.kv("media", r.errors.media);
-    w.kv("busy", r.errors.busy);
-    w.kv("timeout", r.errors.timeout);
-    w.kv("capacity", r.errors.capacity);
-    w.kv("other", r.errors.other);
-    // Admission-control outcomes: keys appear only when the run shed or
-    // expired something, so fault-only breakdowns keep their exact shape.
-    if (r.errors.shed != 0) w.kv("shed", r.errors.shed);
-    if (r.errors.deadline != 0) w.kv("deadline", r.errors.deadline);
-    w.end_object();
-  }
+  // Blocks that exist only when they have something to say: a fault
+  // run's categorized errors, host retries, open-loop overload, a cut.
+  if (r.errors.total() != 0) counter_block(w, "error_breakdown", r.errors);
   if (r.host_retries != 0) w.kv("host_retries", r.host_retries);
-  // Open-loop extras: the overload block appears only when an arrival
-  // schedule actually generated ops, so closed-loop JSON stays
-  // byte-identical to pre-overload output.
-  if (r.overload_activity()) {
-    w.key("overload").begin_object();
-    w.kv("offered_ops", r.offered_ops);
-    w.kv("shed_ops", r.shed_ops);
-    w.kv("deferred_ops", r.deferred_ops);
-    w.kv("deadline_exceeded_ops", r.deadline_exceeded_ops);
-    w.kv("arrival_overflows", r.arrival_overflows);
-    w.kv("slo_goodput_ops", r.slo_goodput_ops);
-    w.kv("backlog_peak", r.backlog_peak);
-    w.end_object();
-  }
-  // Crash-run extras: the recovery block appears only when a power-loss
-  // cut actually fired, so crash-free report JSON stays byte-identical.
-  if (r.crashed || r.recovery.any()) {
-    w.key("recovery").begin_object();
-    w.kv("crash_time_ns", (u64)r.recovery.crash_time);
-    w.kv("recovery_ns", (u64)r.recovery.recovery_ns);
-    w.kv("discarded_events", r.recovery.discarded_events);
-    w.kv("rebuild_pages_read", r.recovery.rebuild_pages_read);
-    w.kv("torn_pages", r.recovery.torn_pages);
-    w.kv("recovered_units", r.recovery.recovered_units);
-    w.kv("lost_units", r.recovery.lost_units);
-    w.kv("wal_records_replayed", r.recovery.wal_records_replayed);
-    w.kv("wal_records_lost", r.recovery.wal_records_lost);
-    w.kv("log_blocks_scanned", r.recovery.log_blocks_scanned);
-    w.end_object();
-  }
+  if (r.overload_activity())
+    counter_block<OverloadCounters>(w, "overload", r);
+  if (r.crashed || r.recovery.any())
+    counter_block(w, "recovery", r.recovery);
   w.kv("host_cpu_ns", r.host_cpu_ns);
   w.kv("throughput_ops_per_sec", r.throughput_ops_per_sec());
   w.kv("bandwidth_bytes_per_sec", r.bandwidth_bytes_per_sec());
@@ -192,23 +156,12 @@ void mix_result_json(JsonWriter& w, const MixResult& m) {
   for (const QueueUsage& q : m.queues) {
     w.begin_object();
     w.kv("qid", (u64)q.qid);
-    w.kv("submissions", q.stats.submissions);
-    w.kv("commands", q.stats.commands);
-    w.kv("payload_bytes", q.stats.payload_bytes);
-    w.kv("completions", q.stats.completions);
-    w.kv("completion_bytes", q.stats.completion_bytes);
-    w.kv("queue_wait_ns", q.stats.queue_wait_ns);
-    w.kv("service_ns", q.stats.service_ns);
-    w.kv("sq_full_stalls", q.stats.sq_full_stalls);
-    w.kv("arbitration_stalls", q.stats.arbitration_stalls);
-    w.kv("max_occupancy", q.stats.max_occupancy);
+    counters_json(w, q.stats);
     w.end_object();
   }
   w.end_array();
   w.kv("arbitration_rounds", m.arbitration_rounds);
-  // Urgent-class fast-path fetches: emitted only when the run used the
-  // strict-priority class, so plain-WRR reports stay byte-identical.
-  if (m.urgent_fetches != 0) w.kv("urgent_fetches", m.urgent_fetches);
+  w.kv("urgent_fetches", m.urgent_fetches);
   w.end_object();
 }
 
@@ -287,39 +240,13 @@ std::string BenchReport::to_json() const {
     w.kv("name", std::string_view(d.name));
     if (d.has_ftl) {
       w.key("ftl").begin_object();
-      w.kv("host_read_ops", d.ftl.host_read_ops);
-      w.kv("host_write_ops", d.ftl.host_write_ops);
-      w.kv("host_bytes_read", d.ftl.host_bytes_read);
-      w.kv("host_bytes_written", d.ftl.host_bytes_written);
-      w.kv("gc_runs", d.ftl.gc_runs);
-      w.kv("gc_foreground_runs", d.ftl.gc_foreground_runs);
-      w.kv("gc_migrated_bytes", d.ftl.gc_migrated_bytes);
-      w.kv("gc_migrated_units", d.ftl.gc_migrated_units);
-      w.kv("rmw_ops", d.ftl.rmw_ops);
-      w.kv("flash_bytes_written", d.ftl.flash_bytes_written);
+      ftl_counters_json(w, d.ftl);
       w.kv("waf", d.ftl.waf());
-      if (d.ftl.any_fault_activity()) {
-        w.kv("read_media_errors", d.ftl.read_media_errors);
-        w.kv("program_failures", d.ftl.program_failures);
-        w.kv("erase_failures", d.ftl.erase_failures);
-        w.kv("grown_bad_blocks", d.ftl.grown_bad_blocks);
-        w.kv("remapped_units", d.ftl.remapped_units);
-        w.kv("reprogrammed_pages", d.ftl.reprogrammed_pages);
-        w.kv("busy_rejections", d.ftl.busy_rejections);
-        w.kv("op_timeouts", d.ftl.op_timeouts);
-      }
       w.end_object();
     }
     if (d.has_flash) {
       w.key("flash").begin_object();
-      w.key("counters").begin_object();
-      w.kv("page_reads", d.flash_stats.page_reads);
-      w.kv("page_programs", d.flash_stats.page_programs);
-      w.kv("block_erases", d.flash_stats.block_erases);
-      w.kv("read_retries", d.flash_stats.read_retries);
-      w.kv("bytes_read", d.flash_stats.bytes_read);
-      w.kv("bytes_programmed", d.flash_stats.bytes_programmed);
-      w.end_object();
+      counter_block(w, "counters", d.flash_stats);
       w.key("stages").begin_object();
       w.key("read");
       stage_breakdown_json(w, d.read_stages);
@@ -336,15 +263,7 @@ std::string BenchReport::to_json() const {
       w.end_array();
       w.end_object();
     }
-    if (d.has_faults) {
-      w.key("faults").begin_object();
-      w.kv("read_uncorrectable", d.faults.read_uncorrectable);
-      w.kv("program_fails", d.faults.program_fails);
-      w.kv("erase_fails", d.faults.erase_fails);
-      w.kv("stalls", d.faults.stalls);
-      w.kv("injected_retry_rounds", d.faults.injected_retry_rounds);
-      w.end_object();
-    }
+    if (d.has_faults) counter_block(w, "faults", d.faults);
     w.end_object();
   }
   w.end_array();

@@ -75,7 +75,6 @@ class BenchReport {
     std::vector<u64> die_busy_ns, channel_busy_ns;
     bool has_faults = false;
     ssd::FaultStats faults;
-    TimeNs at = 0;
   };
 
   std::string name_;

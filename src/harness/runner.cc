@@ -395,23 +395,6 @@ struct MixDriver {
   }
 };
 
-/// Counter delta b - a; max_occupancy keeps the end-of-run high water.
-nvme::NvmeQueueStats queue_stats_delta(const nvme::NvmeQueueStats& a,
-                                       const nvme::NvmeQueueStats& b) {
-  nvme::NvmeQueueStats d;
-  d.submissions = b.submissions - a.submissions;
-  d.commands = b.commands - a.commands;
-  d.payload_bytes = b.payload_bytes - a.payload_bytes;
-  d.completions = b.completions - a.completions;
-  d.completion_bytes = b.completion_bytes - a.completion_bytes;
-  d.queue_wait_ns = b.queue_wait_ns - a.queue_wait_ns;
-  d.service_ns = b.service_ns - a.service_ns;
-  d.sq_full_stalls = b.sq_full_stalls - a.sq_full_stalls;
-  d.arbitration_stalls = b.arbitration_stalls - a.arbitration_stalls;
-  d.max_occupancy = b.max_occupancy;
-  return d;
-}
-
 }  // namespace
 
 MixResult run_mix(KvStack& stack, const wl::TenantMix& mix,
@@ -498,9 +481,12 @@ MixResult run_mix(KvStack& stack, const wl::TenantMix& mix,
     out.tenants.push_back(std::move(tr));
   }
   if (link) {
-    for (u32 q = 0; q < link->num_queues(); ++q)
-      out.queues.push_back(
-          QueueUsage{q, queue_stats_delta(qstats0[q], link->queue_stats(q))});
+    for (u32 q = 0; q < link->num_queues(); ++q) {
+      const nvme::NvmeQueueStats now = link->queue_stats(q);
+      QueueUsage u{q, counter_delta(qstats0[q], now)};
+      u.stats.max_occupancy = now.max_occupancy;  // a high water, not a sum
+      out.queues.push_back(u);
+    }
     out.arbitration_rounds = link->arbitration_rounds() - rounds0;
     out.urgent_fetches = link->urgent_fetches() - urgent0;
   }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "blockapi/block_device.h"
+#include "common/counters.h"
 #include "common/histogram.h"
 #include "common/timeseries.h"
 #include "harness/admission.h"
@@ -68,16 +69,19 @@ struct RunOptions {
   std::vector<SloSpec> slos;
 };
 
+#define KVSIM_ERROR_COUNTS(X)                                              \
+  X(io)       /* kIoError */                                               \
+  X(media)    /* kMediaError: device-side read recovery exhausted */       \
+  X(busy)     /* kDeviceBusy: rejected during a transient stall */         \
+  X(timeout)  /* kTimeout: completed past the configured deadline */       \
+  X(capacity) /* kDeviceFull / kCapacityLimit */                           \
+  X(other)    /* any other non-OK status */                                \
+  X(shed)     /* kShed: admission control rejected before dispatch */      \
+  X(deadline) /* kDeadlineExceeded: deferred past its deadline */
+
 /// Non-OK, non-NotFound completions, broken out by failure category.
 struct ErrorCounts {
-  u64 io = 0;        ///< kIoError
-  u64 media = 0;     ///< kMediaError: device-side read recovery exhausted
-  u64 busy = 0;      ///< kDeviceBusy: rejected during a transient stall
-  u64 timeout = 0;   ///< kTimeout: completed past the configured deadline
-  u64 capacity = 0;  ///< kDeviceFull / kCapacityLimit
-  u64 other = 0;     ///< any other non-OK status
-  u64 shed = 0;      ///< kShed: admission control rejected before dispatch
-  u64 deadline = 0;  ///< kDeadlineExceeded: deferred past its deadline
+  KVSIM_COUNTERS(KVSIM_ERROR_COUNTS)
 
   void count(Status s) {
     switch (s) {
@@ -92,14 +96,24 @@ struct ErrorCounts {
       default: ++other; break;
     }
   }
-  [[nodiscard]] u64 total() const {
-    return io + media + busy + timeout + capacity + other + shed + deadline;
-  }
-  /// True when any counter is from the fault taxonomy (media/busy/timeout).
-  [[nodiscard]] bool any_fault() const { return media + busy + timeout > 0; }
+  [[nodiscard]] u64 total() const { return counter_sum(*this); }
 };
 
-struct RunResult {
+/// Open-loop / overload observables (all zero for closed loop).
+#define KVSIM_OVERLOAD_COUNTERS(X)                                          \
+  X(offered_ops)           /* scheduled arrivals generated (open loop) */  \
+  X(shed_ops)              /* arrivals failed with kShed */                \
+  X(deferred_ops)          /* arrivals parked with a deadline */           \
+  X(deadline_exceeded_ops) /* deferred ops that missed it */               \
+  X(arrival_overflows)     /* parked on a full window (overload signal) */ \
+  X(slo_goodput_ops)       /* ok completions within the SLO target */      \
+  X(backlog_peak)          /* high-water host backlog (parked arrivals) */
+
+struct OverloadCounters {
+  KVSIM_COUNTERS(KVSIM_OVERLOAD_COUNTERS)
+};
+
+struct RunResult : OverloadCounters {
   LatencyHistogram insert, update, read, scan, del, all;
   BandwidthTracker bw{100 * kMs};
   /// Time-sliced device counters sampled during the run (empty when the
@@ -114,21 +128,9 @@ struct RunResult {
   bool crashed = false;     ///< a power-loss cut fired during this run
   CrashOutcome recovery;    ///< all-zero unless `crashed`
 
-  // --- open-loop / overload observables (all zero for closed loop, which
-  // keeps legacy report JSON byte-identical) -----------------------------
-  u64 offered_ops = 0;      ///< scheduled arrivals generated (open loop)
-  u64 shed_ops = 0;         ///< arrivals failed with kShed
-  u64 deferred_ops = 0;     ///< arrivals parked with a deadline
-  u64 deadline_exceeded_ops = 0;  ///< deferred ops that missed it
-  u64 arrival_overflows = 0;  ///< admitted arrivals that found the window
-                              ///< full and parked (the overload signal)
-  u64 slo_goodput_ops = 0;  ///< ok completions within the SLO target
-  u64 backlog_peak = 0;     ///< high-water host backlog (parked arrivals)
-
   /// True when any open-loop counter moved (conditional report emission).
   [[nodiscard]] bool overload_activity() const {
-    return (offered_ops | shed_ops | deferred_ops | deadline_exceeded_ops |
-            arrival_overflows | slo_goodput_ops | backlog_peak) != 0;
+    return any_counter<OverloadCounters>(*this);
   }
 
   [[nodiscard]] double throughput_ops_per_sec() const {

@@ -11,6 +11,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/counters.h"
 #include "common/rng.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
@@ -103,26 +104,24 @@ struct RetryPolicy {
   }
 };
 
-/// Outcome counters for one power-loss cut + mount-time recovery cycle.
-/// All zero when no crash was injected (drives conditional report
-/// emission, like FtlStats::any_fault_activity()).
-struct CrashOutcome {
-  TimeNs crash_time = 0;         ///< simulation time of the power cut
-  TimeNs recovery_ns = 0;        ///< mount duration (device + host recovery)
-  u64 discarded_events = 0;      ///< pending events dropped at the cut
-  u64 rebuild_pages_read = 0;    ///< OOB scan reads during the map rebuild
-  u64 torn_pages = 0;            ///< programs in flight at the cut
-  u64 recovered_units = 0;       ///< slots / blobs / records restored
-  u64 lost_units = 0;            ///< device-acked units lost with the buffers
-  u64 wal_records_replayed = 0;  ///< LSM: WAL records re-applied at mount
-  u64 wal_records_lost = 0;      ///< LSM: acked records beyond the durable prefix
-  u64 log_blocks_scanned = 0;    ///< hashkv: write blocks scanned at cold start
+#define KVSIM_CRASH_OUTCOME(X)                                            \
+  X(crash_time_ns)        /* simulation time of the power cut */          \
+  X(recovery_ns)          /* mount duration (device + host recovery) */   \
+  X(discarded_events)     /* pending events dropped at the cut */         \
+  X(rebuild_pages_read)   /* OOB scan reads during the map rebuild */     \
+  X(torn_pages)           /* programs in flight at the cut */             \
+  X(recovered_units)      /* slots / blobs / records restored */          \
+  X(lost_units)           /* device-acked units lost with the buffers */  \
+  X(wal_records_replayed) /* LSM: WAL records re-applied at mount */      \
+  X(wal_records_lost)     /* LSM: acked records past the durable prefix */\
+  X(log_blocks_scanned)   /* hashkv: write blocks scanned at cold start */
 
-  [[nodiscard]] bool any() const {
-    return (recovery_ns | discarded_events | rebuild_pages_read | torn_pages |
-            recovered_units | lost_units | wal_records_replayed |
-            wal_records_lost | log_blocks_scanned | (u64)crash_time) != 0;
-  }
+/// Outcome counters for one power-loss cut + mount-time recovery cycle.
+/// All zero when no crash was injected (reports emit them only then).
+struct CrashOutcome {
+  KVSIM_COUNTERS(KVSIM_CRASH_OUTCOME)
+
+  [[nodiscard]] bool any() const { return any_counter(*this); }
 };
 
 /// Per-op tenant context: which isolated keyspace the op addresses and

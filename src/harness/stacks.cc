@@ -20,16 +20,6 @@ void KvssdBed::issue(u32 slot) {
   }
 }
 
-void KvssdBed::remount(CrashOutcome& out) {
-  kvftl::KvFtl::DeviceRecovery dr;
-  ftl().power_fail_and_recover(dr, [] {});
-  eq().run();  // mount-time OOB scan + index rebuild, on the bed's clock
-  out.rebuild_pages_read = dr.rebuild_pages_read;
-  out.torn_pages = dr.torn_pages;
-  out.recovered_units = dr.recovered_units;
-  out.lost_units = dr.lost_units;
-}
-
 LsmBed::LsmBed(const LsmBedConfig& cfg)
     : Bed(cfg, cfg.fs.crash_tracking && cfg.lsm.crash_tracking),
       fs_(eq(), device(), tracked(cfg.fs, cfg.crash_tracking)),
@@ -62,17 +52,8 @@ void LsmBed::quiesce(sim::Task done) {
 }
 
 void LsmBed::remount(CrashOutcome& out) {
-  // The device mounts first (it rebuilds its map synchronously from OOB),
-  // so the host recovery's durability probes see post-cut flash truth.
-  blockftl::BlockFtl::DeviceRecovery dr;
-  ftl().power_fail_and_recover(dr, [] {});
   lsm::LsmStore::HostRecovery hr;
   store_.power_fail_and_recover(hr, [] {});
-  eq().run();
-  out.rebuild_pages_read = dr.rebuild_pages_read;
-  out.torn_pages = dr.torn_pages;
-  out.recovered_units = dr.recovered_slots;
-  out.lost_units = dr.lost_slots;
   out.wal_records_replayed = hr.wal_records_replayed;
   out.wal_records_lost = hr.wal_records_lost;
 }
@@ -102,13 +83,8 @@ void HashKvBed::issue(u32 slot) {
 }
 
 void HashKvBed::remount(CrashOutcome& out) {
-  blockftl::BlockFtl::DeviceRecovery dr;
-  ftl().power_fail_and_recover(dr, [] {});
   hashkv::HashKvStore::HostRecovery hr;
   store_.power_fail_and_recover(hr, [] {});
-  eq().run();
-  out.rebuild_pages_read = dr.rebuild_pages_read;
-  out.torn_pages = dr.torn_pages;
   out.recovered_units = hr.recovered_records;
   out.lost_units = hr.lost_records;
   out.log_blocks_scanned = hr.log_blocks_scanned;

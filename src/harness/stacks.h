@@ -189,12 +189,21 @@ class Bed : public KvStack, public Drive<Ftl, Dev> {
     if (!crash_on_) return out;
     sim::EventQueue& q = eq();
     const TimeNs cut = q.now();
-    out.crash_time = cut;
+    out.crash_time_ns = cut;
     out.discarded_events = q.discard_pending();
     ops_.clear();  // the callbacks die unrun with their ops
     waiters_.clear();
     this->power_cut(cut);
+    // The device mounts first (it rebuilds its map synchronously from
+    // OOB), so the host layers' recovery probes see post-cut flash truth.
+    ssd::DeviceRecovery dr;
+    this->ftl().power_fail_and_recover(dr, [] {});
+    out.rebuild_pages_read = dr.rebuild_pages_read;
+    out.torn_pages = dr.torn_pages;
+    out.recovered_units = dr.recovered_units;
+    out.lost_units = dr.lost_units;
     remount(out);
+    q.run();  // mount-time scans and rebuilds, on the bed's clock
     out.recovery_ns = q.now() - cut;
     return out;
   }
@@ -228,9 +237,9 @@ class Bed : public KvStack, public Drive<Ftl, Dev> {
   virtual void issue(u32 slot) = 0;
   /// Drain everything above the host-op gate; `done` runs when quiet.
   virtual void quiesce(sim::Task done) = 0;
-  /// After a power cut: mount the FTL and the host layers above it, run
-  /// the bed's clock until recovery ends, and fill in their counters.
-  virtual void remount(CrashOutcome& out) = 0;
+  /// After a power cut and the device's mount: start the recovery of the
+  /// host layers above it and fill in their counters.
+  virtual void remount(CrashOutcome&) {}
 
   [[nodiscard]] const HostOp& host_op(u32 slot) const { return ops_[slot]; }
   auto on_status(u32 slot) {
@@ -323,7 +332,6 @@ class KvssdBed final : public Bed<kvftl::KvFtl, kvapi::KvsDevice> {
  private:
   void issue(u32 slot) override;
   void quiesce(sim::Task done) override { device().flush(std::move(done)); }
-  void remount(CrashOutcome& out) override;
 };
 
 struct BlockBedConfig {

@@ -819,7 +819,8 @@ void KvFtl::on_block_freed() {
 // Power loss & mount-time recovery
 // ---------------------------------------------------------------------------
 
-void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
+void KvFtl::power_fail_and_recover(ssd::DeviceRecovery& out,
+                                   sim::Task done) {
   // Snapshot the pre-cut blob table for the lost-write window.
   std::vector<std::pair<u64, u64>> pre;  // (khash, vfp)
   pre.reserve(blob_table_.size());

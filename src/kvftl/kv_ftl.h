@@ -156,24 +156,18 @@ class KvFtl final : public ssd::FtlCore {
   void audit_verify() const override;
 
   // --- crash / power-loss model ----------------------------------------
-  /// Device-side counters of one power-loss + mount cycle.
-  struct DeviceRecovery {
-    u64 rebuild_pages_read = 0;  ///< pages the mount scan read
-    u64 torn_pages = 0;          ///< programs in flight at the cut
-    u64 recovered_units = 0;     ///< KVPs whose newest complete copy mounted
-    u64 lost_units = 0;          ///< pre-cut KVPs missing or stale after mount
-  };
-
   /// Power-loss cut at the current simulation time (requires
   /// crash_tracking; the caller discards the event queue first). All
   /// volatile state — write buffer, open lanes, in-flight programs and
   /// host commands, the RAM blob table, Bloom filter, iterator buckets,
-  /// and the DRAM index — is dropped; the store is rebuilt from per-page OOB blob descriptors:
-  /// a KVP recovers at its highest generation whose chunks are all
-  /// durable (a torn multi-chunk blob falls back to the previous complete
-  /// generation, or is lost). `done` runs when mount I/O and firmware
-  /// rebuild time complete. Counters are filled synchronously.
-  void power_fail_and_recover(DeviceRecovery& out, sim::Task done);
+  /// and the DRAM index — is dropped; the store is rebuilt from per-page
+  /// OOB blob descriptors: a KVP recovers at its highest generation whose
+  /// chunks are all durable (a torn multi-chunk blob falls back to the
+  /// previous complete generation, or is lost). `done` runs when mount
+  /// I/O and firmware rebuild time complete. Counters are filled
+  /// synchronously; a recovered unit is a KVP whose newest complete copy
+  /// mounted.
+  void power_fail_and_recover(ssd::DeviceRecovery& out, sim::Task done);
   /// Occupancy of the pooled per-command state (crash-recovery checks).
   [[nodiscard]] PoolUsage command_pool_usage() const {
     return cmds_.usage();

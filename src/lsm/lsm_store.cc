@@ -5,29 +5,12 @@
 #include <span>
 #include <stdexcept>
 
+#include "sim/join.h"
 #include "ssd/audit.h"
 
 namespace kvsim::lsm {
 
 namespace {
-// Status-accumulating join: completes with the first non-Ok status seen,
-// so device faults surfacing through the filesystem reach the caller.
-struct Join {
-  int remaining;
-  Status st = Status::kOk;
-  sim::Fn<void(Status)> then;
-  void arrive(Status s = Status::kOk) {
-    if (s != Status::kOk && st == Status::kOk) st = s;
-    if (--remaining == 0) then(st);
-  }
-};
-std::shared_ptr<Join> make_join(int n, sim::Fn<void(Status)> then) {
-  auto j = std::make_shared<Join>();
-  j->remaining = n;
-  j->then = std::move(then);
-  return j;
-}
-
 u64 mem_entry_bytes(std::string_view key, const ValueDesc& v) {
   return key.size() + v.size + 48;
 }
@@ -145,7 +128,7 @@ void LsmStore::do_write(std::string_view key, ValueDesc value, bool tombstone,
   }
 
   if (wal_io) {
-    auto join = make_join(
+    auto join = sim::make_join(
         2, [done = std::move(done)](Status s) mutable { done(s); });
     eq_.schedule_at(t_cpu, [join] { join->arrive(); });
     fs_.append(wal_file_, wal_chunk, seq_,

@@ -29,6 +29,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
 #include "nvme/wrr_arbiter.h"
@@ -121,17 +122,20 @@ constexpr u32 kv_commands_for_key(const NvmeConfig& cfg, u32 key_bytes) {
 /// wait/service split comes from the command processor's Grant: wait is
 /// posted-to-fetch-start (queueing + arbitration), service is fetch work
 /// plus the payload's bus transfer.
+#define KVSIM_NVME_QUEUE_STATS(X)                                         \
+  X(submissions)        /* host ops posted to this queue */               \
+  X(commands)           /* SQ entries (>= submissions; Fig. 8 keys) */    \
+  X(payload_bytes)      /* host-to-device payload over the bus */         \
+  X(completions)        /* CQ entries delivered */                        \
+  X(completion_bytes)   /* device-to-host payload over the bus */         \
+  X(queue_wait_ns)      /* sum of posted -> fetch-start */                \
+  X(service_ns)         /* sum of fetch + payload transfer */             \
+  X(sq_full_stalls)     /* posts that found the SQ at sq_depth */         \
+  X(arbitration_stalls) /* passed over with work but no credits */        \
+  X(max_occupancy)      /* high-water SQ depth */
+
 struct NvmeQueueStats {
-  u64 submissions = 0;        ///< host ops posted to this queue
-  u64 commands = 0;           ///< SQ entries (>= submissions; Fig. 8 keys)
-  u64 payload_bytes = 0;      ///< host-to-device payload over the bus
-  u64 completions = 0;        ///< CQ entries delivered
-  u64 completion_bytes = 0;   ///< device-to-host payload over the bus
-  u64 queue_wait_ns = 0;      ///< sum of posted -> fetch-start
-  u64 service_ns = 0;         ///< sum of fetch + payload transfer
-  u64 sq_full_stalls = 0;     ///< posts that found the SQ at sq_depth
-  u64 arbitration_stalls = 0; ///< passed over with work but no credits
-  u64 max_occupancy = 0;      ///< high-water SQ depth
+  KVSIM_COUNTERS(KVSIM_NVME_QUEUE_STATS)
 };
 
 class NvmeLink {

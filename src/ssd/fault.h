@@ -20,6 +20,7 @@
 
 #include <vector>
 
+#include "common/counters.h"
 #include "common/rng.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
@@ -64,17 +65,26 @@ struct FaultPlan {
   void validate() const;
 };
 
+#define KVSIM_FAULT_KINDS(X)                                             \
+  X(read_uncorrectable) /* reads declared uncorrectable */               \
+  X(program_fails)                                                       \
+  X(erase_fails)                                                         \
+  X(stalls)             /* transient die stalls injected */
+
+#define KVSIM_FAULT_STATS(X) \
+  KVSIM_FAULT_KINDS(X) X(injected_retry_rounds) /* ECC rounds added */
+
 /// Everything the injector did, for reports and assertions. Device-side
 /// *recovery* actions are counted by the FTLs in FtlStats instead.
 struct FaultStats {
-  u64 read_uncorrectable = 0;    ///< reads declared uncorrectable
-  u64 program_fails = 0;
-  u64 erase_fails = 0;
-  u64 stalls = 0;                ///< transient die stalls injected
-  u64 injected_retry_rounds = 0; ///< ECC rounds added by the fault model
+  KVSIM_COUNTERS(KVSIM_FAULT_STATS)
+  KVSIM_COUNTER_VISITOR(visit_faults, KVSIM_FAULT_KINDS)
 
+  /// Faults injected, of every kind (retry rounds are their cost).
   [[nodiscard]] u64 total_faults() const {
-    return read_uncorrectable + program_fails + erase_fails + stalls;
+    u64 n = 0;
+    visit_faults([&n](const char*, u64 v) { n += v; }, *this);
+    return n;
   }
 };
 

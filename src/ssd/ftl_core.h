@@ -37,6 +37,15 @@ inline JoinPtr make_join(int n, sim::Task then) {
   return std::make_shared<Join>(Join{n, std::move(then)});
 }
 
+/// Device-side counters of one power-loss + mount cycle, filled by each
+/// FTL's power_fail_and_recover.
+struct DeviceRecovery {
+  u64 rebuild_pages_read = 0;  ///< pages whose OOB the mount scan read
+  u64 torn_pages = 0;          ///< programs in flight at the cut
+  u64 recovered_units = 0;     ///< slots / KVPs mapped again by the mount
+  u64 lost_units = 0;          ///< pre-cut units missing or stale after it
+};
+
 /// Lifecycle state of one flash block. kIndexBlock holds the KV FTL's index
 /// log. kBad is a grown bad block, retired after a program or erase failure:
 /// never erased, re-allocated or collected; units on its programmed pages

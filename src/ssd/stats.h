@@ -2,34 +2,42 @@
 // S.M.A.R.T. / NVMe-CLI telemetry the paper collects).
 #pragma once
 
+#include "common/counters.h"
 #include "common/types.h"
 
 namespace kvsim::ssd {
 
+/// FtlStats' work counters, in report order.
+#define KVSIM_FTL_WORK_COUNTERS(X)                                          \
+  X(host_read_ops)                                                          \
+  X(host_write_ops)                                                         \
+  X(host_bytes_read)                                                        \
+  X(host_bytes_written)                                                     \
+  X(gc_runs)                                                                \
+  X(gc_foreground_runs)  /* GC invoked while a host write waited */         \
+  X(gc_migrated_bytes)   /* valid data rewritten by GC */                   \
+  X(gc_migrated_units)   /* blobs / logical pages moved */                  \
+  X(rmw_ops)             /* sub-page read-modify-writes (block FTL) */      \
+  X(flash_bytes_written) /* host + GC + index program traffic */
+
+/// FtlStats' fault & recovery counters (all zero on a healthy device).
+#define KVSIM_FTL_FAULT_COUNTERS(X)                                         \
+  X(read_media_errors)  /* reads surfaced as kMediaError to the host */     \
+  X(program_failures)   /* page programs that failed on the die */          \
+  X(erase_failures)     /* block erases that failed on the die */           \
+  X(grown_bad_blocks)   /* blocks retired after a program/erase fail */     \
+  X(remapped_units)     /* slots/chunks relocated by media recovery */      \
+  X(reprogrammed_pages) /* failed page programs re-driven elsewhere */      \
+  X(busy_rejections)    /* host commands bounced with kDeviceBusy */        \
+  X(op_timeouts)        /* host commands completed past the deadline */
+
+#define KVSIM_FTL_STATS(X) \
+  KVSIM_FTL_WORK_COUNTERS(X) KVSIM_FTL_FAULT_COUNTERS(X)
+
 struct FtlStats {
-  u64 host_read_ops = 0;
-  u64 host_write_ops = 0;
-  u64 host_bytes_read = 0;
-  u64 host_bytes_written = 0;
-
-  u64 gc_runs = 0;
-  u64 gc_foreground_runs = 0;     ///< GC invoked while a host write waited
-  u64 gc_migrated_bytes = 0;      ///< valid data rewritten by GC
-  u64 gc_migrated_units = 0;      ///< blobs / logical pages moved
-
-  u64 rmw_ops = 0;                ///< sub-page read-modify-writes (block FTL)
-
-  u64 flash_bytes_written = 0;    ///< host + GC + index program traffic
-
-  // --- fault & recovery accounting (all zero on a healthy device) --------
-  u64 read_media_errors = 0;   ///< reads surfaced as kMediaError to the host
-  u64 program_failures = 0;    ///< page programs that failed on the die
-  u64 erase_failures = 0;      ///< block erases that failed on the die
-  u64 grown_bad_blocks = 0;    ///< blocks retired after a program/erase fail
-  u64 remapped_units = 0;      ///< slots/chunks relocated by media recovery
-  u64 reprogrammed_pages = 0;  ///< failed page programs re-driven elsewhere
-  u64 busy_rejections = 0;     ///< host commands bounced with kDeviceBusy
-  u64 op_timeouts = 0;         ///< host commands completed past the deadline
+  KVSIM_COUNTERS(KVSIM_FTL_STATS)
+  KVSIM_COUNTER_VISITOR(visit_work, KVSIM_FTL_WORK_COUNTERS)
+  KVSIM_COUNTER_VISITOR(visit_faults, KVSIM_FTL_FAULT_COUNTERS)
 
   /// Write amplification factor: flash program bytes / host write bytes.
   [[nodiscard]] double waf() const {
@@ -38,12 +46,12 @@ struct FtlStats {
                : 0.0;
   }
 
-  /// True when any fault/recovery counter moved (drives conditional
-  /// report emission so healthy-device JSON stays byte-identical).
+  /// True when any fault & recovery counter moved (reports emit that
+  /// group only then).
   [[nodiscard]] bool any_fault_activity() const {
-    return (read_media_errors | program_failures | erase_failures |
-            grown_bad_blocks | remapped_units | reprogrammed_pages |
-            busy_rejections | op_timeouts) != 0;
+    u64 any = 0;
+    visit_faults([&any](const char*, u64 v) { any |= v; }, *this);
+    return any != 0;
   }
 };
 

@@ -18,36 +18,16 @@ void TelemetryCollector::attach(TimeNs now, const FtlStats* ftl,
   attached_ = true;
 }
 
-TelemetryCollector::Snapshot TelemetryCollector::take() const {
-  Snapshot s;
-  if (ftl_) {
-    s.host_read_ops = ftl_->host_read_ops;
-    s.host_write_ops = ftl_->host_write_ops;
-    s.host_bytes_read = ftl_->host_bytes_read;
-    s.host_bytes_written = ftl_->host_bytes_written;
-    s.flash_bytes_written = ftl_->flash_bytes_written;
-    s.gc_runs = ftl_->gc_runs;
-    s.gc_foreground_runs = ftl_->gc_foreground_runs;
-    s.gc_migrated_bytes = ftl_->gc_migrated_bytes;
-    s.read_media_errors = ftl_->read_media_errors;
-    s.program_failures = ftl_->program_failures;
-    s.erase_failures = ftl_->erase_failures;
-    s.grown_bad_blocks = ftl_->grown_bad_blocks;
-    s.remapped_units = ftl_->remapped_units;
-    s.busy_rejections = ftl_->busy_rejections;
-    s.op_timeouts = ftl_->op_timeouts;
-  }
+TelemetrySlice TelemetryCollector::take() const {
+  TelemetrySlice s;
+  if (ftl_) s.ftl = *ftl_;
   if (flash_) {
-    const auto& fs = flash_->stats();
-    s.page_reads = fs.page_reads;
-    s.page_programs = fs.page_programs;
-    s.block_erases = fs.block_erases;
-    s.read_retries = fs.read_retries;
-    s.die_busy_ns = flash_->total_die_busy_ns();
-    s.channel_busy_ns = flash_->total_channel_busy_ns();
+    s.flash = flash_->stats();
+    s.extras.die_busy_ns = flash_->total_die_busy_ns();
+    s.extras.channel_busy_ns = flash_->total_channel_busy_ns();
   }
-  if (stall_events_) s.buffer_stalls = stall_events_();
-  if (eq_) s.clamped_schedules = eq_->clamped_schedules();
+  if (stall_events_) s.extras.buffer_stalls = stall_events_();
+  if (eq_) s.extras.clamped_schedules = eq_->clamped_schedules();
   return s;
 }
 
@@ -62,37 +42,11 @@ void TelemetryCollector::catch_up(TimeNs now) {
 }
 
 void TelemetryCollector::close_window(TimeNs rel_end) {
-  const Snapshot cur = take();
-  TelemetrySlice sl;
-  sl.t0 = window_start_;
-  sl.t1 = rel_end;
-  sl.host_read_ops = cur.host_read_ops - last_.host_read_ops;
-  sl.host_write_ops = cur.host_write_ops - last_.host_write_ops;
-  sl.host_bytes_read = cur.host_bytes_read - last_.host_bytes_read;
-  sl.host_bytes_written =
-      cur.host_bytes_written - last_.host_bytes_written;
-  sl.flash_bytes_written =
-      cur.flash_bytes_written - last_.flash_bytes_written;
-  sl.gc_runs = cur.gc_runs - last_.gc_runs;
-  sl.gc_foreground_runs =
-      cur.gc_foreground_runs - last_.gc_foreground_runs;
-  sl.gc_migrated_bytes = cur.gc_migrated_bytes - last_.gc_migrated_bytes;
-  sl.page_reads = cur.page_reads - last_.page_reads;
-  sl.page_programs = cur.page_programs - last_.page_programs;
-  sl.block_erases = cur.block_erases - last_.block_erases;
-  sl.read_retries = cur.read_retries - last_.read_retries;
-  sl.die_busy_ns = cur.die_busy_ns - last_.die_busy_ns;
-  sl.channel_busy_ns = cur.channel_busy_ns - last_.channel_busy_ns;
-  sl.buffer_stalls = cur.buffer_stalls - last_.buffer_stalls;
-  sl.clamped_schedules = cur.clamped_schedules - last_.clamped_schedules;
-  sl.read_media_errors = cur.read_media_errors - last_.read_media_errors;
-  sl.program_failures = cur.program_failures - last_.program_failures;
-  sl.erase_failures = cur.erase_failures - last_.erase_failures;
-  sl.grown_bad_blocks = cur.grown_bad_blocks - last_.grown_bad_blocks;
-  sl.remapped_units = cur.remapped_units - last_.remapped_units;
-  sl.busy_rejections = cur.busy_rejections - last_.busy_rejections;
-  sl.op_timeouts = cur.op_timeouts - last_.op_timeouts;
-  slices_.push_back(sl);
+  const TelemetrySlice cur = take();
+  slices_.push_back(TelemetrySlice{
+      window_start_, rel_end, counter_delta(last_.ftl, cur.ftl),
+      counter_delta(last_.flash, cur.flash),
+      counter_delta(last_.extras, cur.extras)});
   last_ = cur;
   window_start_ = rel_end;
 }

@@ -26,70 +26,41 @@
 
 namespace kvsim::ssd {
 
+/// What the collector samples beside FtlStats and FlashStats.
+/// clamped_schedules counts EventQueue::schedule_at() calls whose target
+/// lay in the past and ran at `now`: nonzero means some component
+/// computed a stale timestamp, and KVSIM_AUDIT fails on it.
+#define KVSIM_TELEMETRY_EXTRAS(X)                                          \
+  X(die_busy_ns)       /* summed across dies */                            \
+  X(channel_busy_ns)   /* summed across channels */                        \
+  X(buffer_stalls)     /* write-buffer backpressure events */              \
+  X(clamped_schedules) /* past schedule_at() targets, clamped to now */
+
+struct TelemetryExtras {
+  KVSIM_COUNTERS(KVSIM_TELEMETRY_EXTRAS)
+};
+
 /// One closed sampling window: counter deltas over [t0, t1) of run time.
 struct TelemetrySlice {
   TimeNs t0 = 0;  ///< window start, relative to collector attach
   TimeNs t1 = 0;  ///< window end (t1 - t0 == interval except the last slice)
-
-  // FtlStats deltas
-  u64 host_read_ops = 0;
-  u64 host_write_ops = 0;
-  u64 host_bytes_read = 0;
-  u64 host_bytes_written = 0;
-  u64 flash_bytes_written = 0;
-  u64 gc_runs = 0;
-  u64 gc_foreground_runs = 0;
-  u64 gc_migrated_bytes = 0;
-
-  // FlashStats deltas
-  u64 page_reads = 0;
-  u64 page_programs = 0;
-  u64 block_erases = 0;
-  u64 read_retries = 0;
-
-  // Resource-accounting deltas
-  u64 die_busy_ns = 0;      ///< summed across dies
-  u64 channel_busy_ns = 0;  ///< summed across channels
-  u64 buffer_stalls = 0;    ///< write-buffer backpressure events
-
-  // Fault & recovery deltas (all zero on a healthy device; report
-  // emission is conditional on fault activity)
-  u64 read_media_errors = 0;
-  u64 program_failures = 0;
-  u64 erase_failures = 0;
-  u64 grown_bad_blocks = 0;
-  u64 remapped_units = 0;
-  u64 busy_rejections = 0;
-  u64 op_timeouts = 0;
-
-  // EventQueue health: schedule_at() calls whose target time lay in the
-  // past and were clamped to `now`. Nonzero means some component computed
-  // a stale timestamp; KVSIM_AUDIT fails on it.
-  u64 clamped_schedules = 0;
+  FtlStats ftl;             ///< FtlStats deltas
+  flash::FlashStats flash;  ///< FlashStats deltas
+  TelemetryExtras extras;   ///< deltas of the other sampled counters
 
   [[nodiscard]] double span_sec() const {
     return t1 > t0 ? (double)(t1 - t0) / (double)kSec : 0.0;
   }
   [[nodiscard]] double write_bw_bytes_per_sec() const {
     const double s = span_sec();
-    return s > 0 ? (double)host_bytes_written / s : 0.0;
-  }
-  [[nodiscard]] double read_bw_bytes_per_sec() const {
-    const double s = span_sec();
-    return s > 0 ? (double)host_bytes_read / s : 0.0;
-  }
-  /// Slice-local write amplification (flash programs / host writes).
-  [[nodiscard]] double waf() const {
-    return host_bytes_written
-               ? (double)flash_bytes_written / (double)host_bytes_written
-               : 0.0;
+    return s > 0 ? (double)ftl.host_bytes_written / s : 0.0;
   }
   /// Mean die utilization inside the slice (busy time / (span * dies)).
   [[nodiscard]] double die_utilization(u64 num_dies) const {
     const TimeNs span = t1 - t0;
-    return span && num_dies
-               ? (double)die_busy_ns / ((double)span * (double)num_dies)
-               : 0.0;
+    return span && num_dies ? (double)extras.die_busy_ns /
+                                  ((double)span * (double)num_dies)
+                            : 0.0;
   }
 };
 
@@ -133,22 +104,8 @@ class TelemetryCollector {
   [[nodiscard]] u64 num_dies() const { return num_dies_; }
 
  private:
-  struct Snapshot {
-    u64 host_read_ops = 0, host_write_ops = 0;
-    u64 host_bytes_read = 0, host_bytes_written = 0;
-    u64 flash_bytes_written = 0;
-    u64 gc_runs = 0, gc_foreground_runs = 0, gc_migrated_bytes = 0;
-    u64 page_reads = 0, page_programs = 0, block_erases = 0;
-    u64 read_retries = 0;
-    u64 die_busy_ns = 0, channel_busy_ns = 0;
-    u64 buffer_stalls = 0;
-    u64 clamped_schedules = 0;
-    u64 read_media_errors = 0, program_failures = 0, erase_failures = 0;
-    u64 grown_bad_blocks = 0, remapped_units = 0;
-    u64 busy_rejections = 0, op_timeouts = 0;
-  };
-
-  [[nodiscard]] Snapshot take() const;
+  /// The attached sources' cumulative counters now (t0 = t1 = 0).
+  [[nodiscard]] TelemetrySlice take() const;
   void catch_up(TimeNs now);
   void close_window(TimeNs rel_end);
 
@@ -161,7 +118,7 @@ class TelemetryCollector {
   const sim::EventQueue* eq_ = nullptr;
   std::function<u64()> stall_events_;
   u64 num_dies_ = 0;
-  Snapshot last_;
+  TelemetrySlice last_;  ///< cumulative counters at the last close
   std::vector<TelemetrySlice> slices_;
 };
 

@@ -232,7 +232,7 @@ TEST(AuditClamps, TelemetryExposesClampCounter) {
   eq.run();
   col.finalize(eq.now());
   u64 total = 0;
-  for (const auto& s : col.slices()) total += s.clamped_schedules;
+  for (const auto& s : col.slices()) total += s.extras.clamped_schedules;
   EXPECT_EQ(total, 1u);
 }
 

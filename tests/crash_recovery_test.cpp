@@ -574,7 +574,7 @@ TEST_P(CrashSweep, RecoveryIsDeterministic) {
     out[i] = d.outcome();
     digest[i] = d.state_digest();
   }
-  EXPECT_EQ(out[0].crash_time, out[1].crash_time);
+  EXPECT_EQ(out[0].crash_time_ns, out[1].crash_time_ns);
   EXPECT_EQ(out[0].recovery_ns, out[1].recovery_ns);
   EXPECT_EQ(out[0].discarded_events, out[1].discarded_events);
   EXPECT_EQ(out[0].rebuild_pages_read, out[1].rebuild_pages_read);
@@ -617,7 +617,7 @@ TEST(CrashRecovery, RunnerInjectsCutAndReportsRecovery) {
   opts.crash_after_events = 5000;
   const RunResult r = run_workload(bed, churn_spec(3000, 21), opts);
   EXPECT_TRUE(r.crashed);
-  EXPECT_GT(r.recovery.crash_time, 0u);
+  EXPECT_GT(r.recovery.crash_time_ns, 0u);
   EXPECT_GT(r.recovery.recovery_ns, 0u);
   EXPECT_GT(r.recovery.discarded_events, 0u);
   // resume_after_crash issued the remainder against the mounted stack.

@@ -123,8 +123,8 @@ TEST(TelemetryCollector, WindowingAndConservation) {
   EXPECT_EQ(col.slices()[0].t1, 100u);
   EXPECT_EQ(col.slices()[1].t1, 200u);
   // The first crossed window absorbs the whole delta; the second is empty.
-  EXPECT_EQ(col.slices()[0].host_write_ops, 7u);
-  EXPECT_EQ(col.slices()[1].host_write_ops, 0u);
+  EXPECT_EQ(col.slices()[0].ftl.host_write_ops, 7u);
+  EXPECT_EQ(col.slices()[1].ftl.host_write_ops, 0u);
 
   stats.host_write_ops = 9;
   col.finalize(1000 + 320);  // closes [200,300) and the partial [300,320)
@@ -132,8 +132,8 @@ TEST(TelemetryCollector, WindowingAndConservation) {
   EXPECT_EQ(col.slices().back().t1, 320u);
   u64 ops = 0, bytes = 0;
   for (const auto& s : col.slices()) {
-    ops += s.host_write_ops;
-    bytes += s.host_bytes_written;
+    ops += s.ftl.host_write_ops;
+    bytes += s.ftl.host_bytes_written;
     EXPECT_LT(s.t0, s.t1);
   }
   EXPECT_EQ(ops, stats.host_write_ops);
@@ -143,6 +143,9 @@ TEST(TelemetryCollector, WindowingAndConservation) {
   EXPECT_EQ(col.slices().size(), 4u);
 }
 
+// Every FtlStats and FlashStats counter, summed over a run's slices,
+// equals its cumulative total. The run injects faults, so the fault &
+// recovery counters move too.
 TEST(TelemetryCollector, RunSliceDeltasSumToCumulativeCounters) {
   harness::KvssdBedConfig c;
   c.dev = tiny_dev();
@@ -158,38 +161,38 @@ TEST(TelemetryCollector, RunSliceDeltasSumToCumulativeCounters) {
   harness::RunOptions opts;
   opts.drain_after = true;
   opts.telemetry_interval = kMs;  // small window -> many slices
+  opts.faults.enabled = true;     // as fault_test's stress plan
+  opts.faults.read_uber_base = 0.002;
+  opts.faults.program_fail_prob = 0.01;
+  opts.faults.erase_fail_prob = 0.05;
+  opts.faults.stall_prob = 0.001;
+  opts.faults.busy_window_ns = 50 * kUs;
   const harness::RunResult r =
       harness::run_workload(bed, spec, opts);
 
   ASSERT_GT(r.telemetry.slices().size(), 1u);
-  u64 w_ops = 0, w_bytes = 0, f_bytes = 0, programs = 0, reads = 0,
-      erases = 0, gc = 0, die_busy = 0;
+  ssd::FtlStats ftl;
+  flash::FlashStats flash;
+  u64 die_busy = 0;
   TimeNs prev_end = 0;
+  const auto add = [](const char*, u64& sum, u64 v) { sum += v; };
   for (const auto& s : r.telemetry.slices()) {
     EXPECT_EQ(s.t0, prev_end);  // contiguous, gapless timeline
     prev_end = s.t1;
-    w_ops += s.host_write_ops;
-    w_bytes += s.host_bytes_written;
-    f_bytes += s.flash_bytes_written;
-    programs += s.page_programs;
-    reads += s.page_reads;
-    erases += s.block_erases;
-    gc += s.gc_runs;
-    die_busy += s.die_busy_ns;
+    ssd::FtlStats::visit(add, ftl, s.ftl);
+    flash::FlashStats::visit(add, flash, s.flash);
+    die_busy += s.extras.die_busy_ns;
   }
   // The bed was fresh at attach, so slice sums equal the cumulative totals.
-  const ssd::FtlStats& ftl = *bed.ftl_stats();
-  const flash::FlashStats& fs = bed.flash().stats();
-  EXPECT_EQ(w_ops, ftl.host_write_ops);
-  EXPECT_EQ(w_bytes, ftl.host_bytes_written);
-  EXPECT_EQ(f_bytes, ftl.flash_bytes_written);
-  EXPECT_EQ(programs, fs.page_programs);
-  EXPECT_EQ(reads, fs.page_reads);
-  EXPECT_EQ(erases, fs.block_erases);
-  EXPECT_EQ(gc, ftl.gc_runs);
+  const auto same = [](const char* name, u64 sum, u64 total) {
+    EXPECT_EQ(sum, total) << name;
+  };
+  ssd::FtlStats::visit(same, ftl, *bed.ftl_stats());
+  flash::FlashStats::visit(same, flash, bed.flash().stats());
   EXPECT_EQ(die_busy, (u64)bed.flash().total_die_busy_ns());
-  EXPECT_GT(w_ops, 0u);
-  EXPECT_GT(programs, 0u);
+  EXPECT_GT(ftl.host_write_ops, 0u);
+  EXPECT_GT(flash.page_programs, 0u);
+  EXPECT_TRUE(ftl.any_fault_activity());
 }
 
 TEST(TelemetryCollector, RunOptionsCanDisableCollection) {
@@ -298,6 +301,72 @@ TEST(Report, GoldenMiniRunJsonParsesAndRoundTrips) {
          {"die_wait", "die_service", "channel_wait", "transfer", "total"})
       EXPECT_NE(sb->get(st), nullptr) << op << "." << st;
   }
+}
+
+/// Every counter `T`'s list names is a key of `block`.
+template <typename T>
+void expect_every_counter(const JsonValue* block, const char* what) {
+  ASSERT_NE(block, nullptr) << what;
+  const T zero{};
+  T::visit(
+      [&](const char* name, u64) {
+        EXPECT_NE(block->get(name), nullptr) << what << "." << name;
+      },
+      zero);
+}
+
+// Each counter list's fields all appear as keys of the JSON block that
+// emits it. Every counter is set to 1 through its own list, so each
+// conditional block is present.
+TEST(Report, EveryListedCounterIsAKeyOfItsBlock) {
+  const auto one = [](const char*, u64& v) { v = 1; };
+  sim::EventQueue eq;
+  flash::FlashController flash(eq, small_geom(), flash::FlashTiming{});
+  ssd::FtlStats ftl;
+  harness::MixResult m;
+  harness::RunResult& r = m.combined;
+  r.telemetry.attach(0, &ftl, &flash);
+  ssd::FtlStats::visit(one, ftl);
+  r.telemetry.finalize(1);
+  harness::ErrorCounts::visit(one, r.errors);
+  harness::OverloadCounters::visit(one, r);
+  harness::CrashOutcome::visit(one, r.recovery);
+  m.queues.push_back(harness::QueueUsage{});
+  nvme::NvmeQueueStats::visit(one, m.queues[0].stats);
+  ssd::FaultPlan plan;
+  plan.enabled = true;
+  plan.program_fail_prob = 1.0;
+  ssd::FaultInjector faults(plan, small_geom(), eq);
+  (void)faults.on_program(0, 1);
+
+  harness::BenchReport report("counter_keys");
+  report.add_mix("mix", m);
+  report.add_device("dev", &ftl, &flash, &faults);
+  const auto doc = json_parse(report.to_json());
+  ASSERT_TRUE(doc.has_value());
+
+  const JsonValue& mix = doc->get("mix_runs")->array.at(0);
+  const JsonValue* run = mix.get("result")->get("combined");
+  expect_every_counter<harness::ErrorCounts>(run->get("error_breakdown"),
+                                             "error_breakdown");
+  expect_every_counter<harness::OverloadCounters>(run->get("overload"),
+                                                  "overload");
+  expect_every_counter<harness::CrashOutcome>(run->get("recovery"),
+                                              "recovery");
+  const JsonValue* slice =
+      &run->get("timeslices")->get("slices")->array.at(0);
+  expect_every_counter<ssd::FtlStats>(slice, "slice");
+  expect_every_counter<flash::FlashStats>(slice, "slice");
+  expect_every_counter<ssd::TelemetryExtras>(slice, "slice");
+  expect_every_counter<nvme::NvmeQueueStats>(
+      &mix.get("result")->get("queues")->array.at(0), "queues");
+  EXPECT_NE(mix.get("result")->get("urgent_fetches"), nullptr);
+
+  const JsonValue& dev = doc->get("devices")->array.at(0);
+  expect_every_counter<ssd::FtlStats>(dev.get("ftl"), "ftl");
+  expect_every_counter<flash::FlashStats>(
+      dev.get("flash")->get("counters"), "flash.counters");
+  expect_every_counter<ssd::FaultStats>(dev.get("faults"), "faults");
 }
 
 TEST(Json, WriterEscapesAndParserRejectsGarbage) {
