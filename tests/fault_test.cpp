@@ -668,22 +668,28 @@ ssd::SsdConfig starved_dev() {
 }
 
 /// One firmware driven directly, with one 4 KiB mapping unit per key id,
-/// one host write point and one GC write point.
+/// `write_points` host write points (one by default) and one GC write
+/// point. `put` sets `*acked` when the firmware acks the write.
 struct KvFirmware {
+  explicit KvFirmware(u32 write_points = 1)
+      : ftl(eq, flash, dev, [write_points] {
+          kvftl::KvFtlConfig c;
+          c.lanes = write_points;
+          c.gc_lanes = 1;
+          c.expected_keys_hint = 4096;
+          return c;
+        }()) {}
+
   sim::EventQueue eq;
   ssd::SsdConfig dev = starved_dev();
   flash::FlashController flash{eq, dev.geometry, dev.timing};
-  kvftl::KvFtl ftl{eq, flash, dev, [] {
-                     kvftl::KvFtlConfig c;
-                     c.lanes = 1;
-                     c.gc_lanes = 1;
-                     c.expected_keys_hint = 4096;
-                     return c;
-                   }()};
+  kvftl::KvFtl ftl;
 
-  void put(u64 id, u64 fp) {
-    ftl.store(wl::make_key(id, 16), ValueDesc{4096, fp},
-              [](Status s) { EXPECT_EQ(s, Status::kOk); });
+  void put(u64 id, u64 fp, bool* acked = nullptr) {
+    ftl.store(wl::make_key(id, 16), ValueDesc{4096, fp}, [acked](Status s) {
+      EXPECT_EQ(s, Status::kOk);
+      if (acked) *acked = true;
+    });
   }
   void drop(u64 id) {
     ftl.remove(wl::make_key(id, 16),
@@ -703,17 +709,23 @@ struct KvFirmware {
 };
 
 struct BlockFirmware {
+  explicit BlockFirmware(u32 write_points = 1)
+      : ftl(eq, flash, dev, [write_points] {
+          blockftl::BlockFtlConfig c;
+          c.write_points = write_points;
+          return c;
+        }()) {}
+
   sim::EventQueue eq;
   ssd::SsdConfig dev = starved_dev();
   flash::FlashController flash{eq, dev.geometry, dev.timing};
-  blockftl::BlockFtl ftl{eq, flash, dev, [] {
-                           blockftl::BlockFtlConfig c;
-                           c.write_points = 1;
-                           return c;
-                         }()};
+  blockftl::BlockFtl ftl;
 
-  void put(u64 id, u64 fp) {
-    ftl.write(id * 8, 4096, fp, [](Status s) { EXPECT_EQ(s, Status::kOk); });
+  void put(u64 id, u64 fp, bool* acked = nullptr) {
+    ftl.write(id * 8, 4096, fp, [acked](Status s) {
+      EXPECT_EQ(s, Status::kOk);
+      if (acked) *acked = true;
+    });
   }
   void drop(u64 id) {
     ftl.trim(id * 8, 4096, [](Status s) { EXPECT_EQ(s, Status::kOk); });
@@ -807,6 +819,59 @@ TYPED_TEST(RecoveryQueue, UnitDroppedWhileQueuedStaysDropped) {
   heal_with_one_write(fw, faults);
   EXPECT_EQ(fw.live_units(), 1u);
   EXPECT_EQ(fw.get(2000), TypeParam::stored(2001));
+  fw.flash.set_faults(nullptr);
+}
+
+// Writes `id` and steps the clock until the firmware acks it. The ack
+// comes while no block is free, so the write waits in a queue.
+template <typename Firmware>
+void put_while_starved(Firmware& fw, u64 id, u64 fp) {
+  bool acked = false;
+  fw.put(id, fp, &acked);
+  while (!acked && fw.eq.step()) {
+  }
+  EXPECT_TRUE(acked);
+  EXPECT_EQ(fw.ftl.free_blocks(), 0u) << "unit " << id << " was placed";
+}
+
+// A host write acked while no block is free, then trimmed (block FTL) or
+// removed (KV FTL), stays gone when GC frees a block.
+TYPED_TEST(RecoveryQueue, QueuedHostWriteStaysDropped) {
+  TypeParam fw;
+  ProgramFailSwitch faults;
+  fw.flash.set_faults(&faults);
+  EXPECT_GT(starve_relocations(fw, faults), 0u);
+  faults.on = false;
+  put_while_starved(fw, 2000, 2001);
+  fw.drop(2000);
+  fw.eq.run();
+  flush_all(fw);
+  EXPECT_GT(fw.ftl.free_blocks(), 0u);
+  EXPECT_EQ(fw.live_units(), 16u);
+  for (u64 id = 1000; id < 1016; ++id)
+    EXPECT_EQ(fw.get(id), TypeParam::stored(id + 1)) << id;
+  fw.flash.set_faults(nullptr);
+}
+
+// With two host write points, a unit written twice while no block is
+// free reads back its newer copy once GC frees a block. The filler puts
+// the two copies in different write points' queues, and a freed block
+// re-places the newer copy's queue first.
+TYPED_TEST(RecoveryQueue, QueuedHostWriteYieldsToANewerOne) {
+  TypeParam fw(2);
+  ProgramFailSwitch faults;
+  fw.flash.set_faults(&faults);
+  EXPECT_GT(starve_relocations(fw, faults), 0u);
+  faults.on = false;
+  put_while_starved(fw, 1999, 1);
+  put_while_starved(fw, 2000, 2001);
+  put_while_starved(fw, 2000, 2002);
+  fw.eq.run();
+  flush_all(fw);
+  EXPECT_GT(fw.ftl.free_blocks(), 0u);
+  EXPECT_EQ(fw.live_units(), 18u);
+  EXPECT_EQ(fw.get(2000), TypeParam::stored(2002));
+  EXPECT_EQ(fw.get(1999), TypeParam::stored(1));
   fw.flash.set_faults(nullptr);
 }
 
