@@ -51,11 +51,15 @@ WearResult wear_block(double fill, u64 rewrites) {
   w.span_bytes = slots * 4 * KiB;
   w.sequential = true;
   w.queue_depth = 128;
-  (void)run_block(bed.eq(), bed.device(), w, true);
+  const std::string tag = "block/fill" + std::to_string((int)(fill * 100)) +
+                          "pct";
+  report().add_run(tag + "/seqfill",
+                   run_block(bed.eq(), bed.device(), w, true));
   w.sequential = false;
   w.num_ops = slots * rewrites;
   w.seed = 3;
-  (void)run_block(bed.eq(), bed.device(), w, true);
+  report().add_run(tag, run_block(bed.eq(), bed.device(), w, true));
+  report().add_device("block-SSD", &bed.ftl().stats(), &bed.flash());
   const auto& alloc = bed.ftl().allocator();
   return WearResult{bed.ftl().stats().waf(), alloc.max_erase_count(),
                     alloc.mean_erase_count(),

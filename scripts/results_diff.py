@@ -6,8 +6,9 @@
 Every *.json file is parsed and walked in both trees. A key present in
 only one of them is reported as an added or removed path, with array
 indices folded (runs[].result.timeslices.slices[].rmw_ops) and the number
-of places it occurs. Every leaf value that differs is reported at its full
-path with the old and new value, and so is an array whose length changed.
+of places it occurs; so is an array element past the other side's length
+(runs[], with the number of elements). Every leaf value that differs is
+reported at its full path with the old and new value.
 Every *.csv file is compared cell by cell. A file present on one side only
 counts as added or removed.
 
@@ -58,8 +59,11 @@ class FileDiff:
                     p = fold(join(path, k))
                     self.added[p] = self.added.get(p, 0) + 1
         elif isinstance(old, list) and isinstance(new, list):
+            # Elements past the shorter list's end were appended or dropped.
             if len(old) != len(new):
-                self.changed.append((path + "[].length", len(old), len(new)))
+                side = self.added if len(new) > len(old) else self.removed
+                p = fold(path) + "[]"
+                side[p] = side.get(p, 0) + abs(len(new) - len(old))
             for i, (a, b) in enumerate(zip(old, new)):
                 self.walk(a, b, "%s[%d]" % (path, i))
         elif old != new:

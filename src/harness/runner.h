@@ -49,11 +49,9 @@ struct RunOptions {
   /// have been processed. Ops in flight at the cut are discarded — their
   /// completions die with the event queue — then mount-time recovery runs
   /// on the stack's clock (KvStack::simulate_crash) and its counters land
-  /// in RunResult::recovery. At most one cut per run.
+  /// in RunResult::recovery, and the rest of the workload is issued
+  /// against the recovered stack. At most one cut per run.
   u64 crash_after_events = 0;
-  /// Issue the rest of the workload against the recovered stack after the
-  /// cut (off = stop the run at the crash point).
-  bool resume_after_crash = true;
   /// Capture the op stream: every op is appended to this `.kvt` writer at
   /// dispatch (issue order, with its tenant index), before any completion
   /// can reorder — so replaying the capture through TraceOpSource
@@ -212,8 +210,9 @@ RunResult run_workload(KvStack& stack, const wl::WorkloadSpec& shape,
 /// host backlog (latency counts from the scheduled arrival), and an
 /// enabled RunOptions::slos entry puts an AdmissionController in front of
 /// the tenant's dispatch path (kShed / kDeadlineExceeded surface through
-/// ErrorCounts and the RunResult overload counters). Closed-loop tenants
-/// take the exact legacy path — reports stay byte-identical.
+/// ErrorCounts and the RunResult overload counters). Both kinds refill
+/// their window through one path: backlog first, then (closed loop) the
+/// op source.
 MixResult run_mix(KvStack& stack, const wl::TenantMix& mix,
                   const RunOptions& opts = {});
 
@@ -235,8 +234,6 @@ struct BlockRunSpec {
   u64 span_bytes = 0;
   u32 queue_depth = 1;
   u64 seed = 42;
-  /// Align random offsets to io_bytes (fio-style).
-  bool align_to_io = true;
 };
 
 RunResult run_block(sim::EventQueue& eq, blockapi::BlockDevice& dev,

@@ -146,10 +146,10 @@ void HashKvStore::put(std::string_view key, ValueDesc value, PutDone done) {
 
   const u32 slot = ops_.acquire();
   ops_[slot].done = std::move(done);
-  if (cfg_.read_before_update && old_wb != kDeleted &&
-      old_wb != kBufferBlock) {
-    // Update path: fetch the old record (bin merge / generation check)
-    // before acknowledging the write.
+  if (old_wb != kDeleted && old_wb != kBufferBlock) {
+    // Aerospike's update path: fetch the old record (bin merge /
+    // generation check) before acknowledging the write. This is why
+    // KV-SSD beats Aerospike for updates (paper Fig. 2b).
     ops_[slot].t_cpu = t_cpu;
     dev_.read(wb_lba(old_wb, first), span, [this, slot](Status, u64) {
       // Ack once both the CPU slot and the read are complete; the read

@@ -41,10 +41,6 @@ struct HashKvConfig {
   u32 read_sector_bytes = 512;
   /// Defragment a write block once its live fraction drops below this.
   double defrag_threshold = 0.5;
-  /// Aerospike semantics: an update of an existing record reads the old
-  /// record first (bin merge / generation check) before rewriting it —
-  /// this is why KV-SSD beats Aerospike for updates (paper Fig. 2b).
-  bool read_before_update = true;
 
   TimeNs api_ns = 1000;           ///< client/service work per op
   TimeNs index_cpu_ns = 1200;     ///< RAM primary-index operation

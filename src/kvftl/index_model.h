@@ -31,7 +31,6 @@ struct IndexCost {
 
 struct IndexModelConfig {
   u32 segment_bytes = 4 * KiB;
-  u32 entry_bytes = 32;
   /// Entries per segment before a linear-hashing split (load factor).
   u32 segment_split_threshold = 96;
   u64 dram_bytes = 16 * MiB;  ///< segment cache budget

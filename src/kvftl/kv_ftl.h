@@ -51,7 +51,6 @@ struct KvFtlConfig {
 
   u32 slot_bytes = 1 * KiB;   ///< ECC-sector alignment of packed blobs
   u32 page_data_slots = 24;   ///< 24 KiB data area per 32 KiB page
-  u32 blob_meta_bytes = 16;   ///< per-blob metadata in the page meta area
 
   IndexModelConfig index;
   u32 index_managers = 4;     ///< parallel key-handling units

@@ -88,8 +88,8 @@ void LsmStore::do_write(std::string_view key, ValueDesc value, bool tombstone,
         PendingWrite{std::string(key), value, tombstone, std::move(done)});
     return;
   }
-  TimeNs cost = cfg_.api_ns + cfg_.memtable_insert_ns;
-  if (cfg_.wal_enabled) cost += cfg_.wal_append_ns;
+  const TimeNs cost =
+      cfg_.api_ns + cfg_.memtable_insert_ns + cfg_.wal_append_ns;
   cpu_ns_ += cost;
   const TimeNs t_cpu = fg_cpu_.reserve(eq_.now(), cost);
 
@@ -105,25 +105,23 @@ void LsmStore::do_write(std::string_view key, ValueDesc value, bool tombstone,
 
   bool wal_io = false;
   u64 wal_chunk = 0;
-  if (cfg_.wal_enabled) {
-    if (cfg_.crash_tracking)
-      wal_ledger_.buffered.push_back(
-          WalRecord{std::string(key), value, tombstone, seq_});
-    wal_buffer_bytes_ += key.size() + value.size + 12;
-    if (wal_buffer_bytes_ >= 4 * KiB) {
-      wal_chunk = wal_buffer_bytes_;
-      wal_buffer_bytes_ = 0;
-      wal_total_bytes_ += wal_chunk;
-      wal_seg_bytes_ += wal_chunk;
-      wal_io = true;
-      if (cfg_.crash_tracking) {
-        const u64 bb = fs_.block_bytes();
-        const u64 blocks = (wal_chunk + bb - 1) / bb;
-        wal_ledger_.chunks.push_back(WalChunk{
-            wal_ledger_.next_block, blocks, std::move(wal_ledger_.buffered)});
-        wal_ledger_.buffered.clear();
-        wal_ledger_.next_block += blocks;
-      }
+  if (cfg_.crash_tracking)
+    wal_ledger_.buffered.push_back(
+        WalRecord{std::string(key), value, tombstone, seq_});
+  wal_buffer_bytes_ += key.size() + value.size + 12;
+  if (wal_buffer_bytes_ >= 4 * KiB) {
+    wal_chunk = wal_buffer_bytes_;
+    wal_buffer_bytes_ = 0;
+    wal_total_bytes_ += wal_chunk;
+    wal_seg_bytes_ += wal_chunk;
+    wal_io = true;
+    if (cfg_.crash_tracking) {
+      const u64 bb = fs_.block_bytes();
+      const u64 blocks = (wal_chunk + bb - 1) / bb;
+      wal_ledger_.chunks.push_back(WalChunk{
+          wal_ledger_.next_block, blocks, std::move(wal_ledger_.buffered)});
+      wal_ledger_.buffered.clear();
+      wal_ledger_.next_block += blocks;
     }
   }
 
@@ -154,21 +152,19 @@ void LsmStore::rotate_memtable() {
   memtable_.clear();
   mt_bytes_ = 0;
   // Start a fresh WAL segment; the old one dies when the flush lands.
-  if (cfg_.wal_enabled) {
-    rotated_wal_ = wal_file_;
-    char name[32];
-    std::snprintf(name, sizeof(name), "wal-%llu",
-                  (unsigned long long)++wal_gen_);
-    wal_file_ = fs_.create(name);
-    wal_buffer_bytes_ = 0;
-    if (cfg_.crash_tracking) {
-      // Records still in the group-commit buffer stay with the archived
-      // segment as its unflushed tail: acked, never WAL'd, durable only
-      // if the flush's SST makes it to flash.
-      archived_wals_.push_back(std::move(wal_ledger_));
-      wal_ledger_ = WalLedger{};
-      wal_ledger_.file = wal_file_;
-    }
+  rotated_wal_ = wal_file_;
+  char name[32];
+  std::snprintf(name, sizeof(name), "wal-%llu",
+                (unsigned long long)++wal_gen_);
+  wal_file_ = fs_.create(name);
+  wal_buffer_bytes_ = 0;
+  if (cfg_.crash_tracking) {
+    // Records still in the group-commit buffer stay with the archived
+    // segment as its unflushed tail: acked, never WAL'd, durable only if
+    // the flush's SST makes it to flash.
+    archived_wals_.push_back(std::move(wal_ledger_));
+    wal_ledger_ = WalLedger{};
+    wal_ledger_.file = wal_file_;
   }
   schedule_flush();
 }
@@ -248,7 +244,7 @@ void LsmStore::finish_flush(std::shared_ptr<Sst> sst) {
   // the flush's appends are acked but possibly still in the device write
   // buffer, so dropping the WAL here is exactly the no-fsync data-loss
   // window the crash model exists to expose.
-  if (cfg_.wal_enabled && !cfg_.crash_tracking &&
+  if (!cfg_.crash_tracking &&
       rotated_wal_ != fs::FileSystem::kInvalidHandle) {
     const auto dead = rotated_wal_;
     rotated_wal_ = fs::FileSystem::kInvalidHandle;

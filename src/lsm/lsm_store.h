@@ -42,7 +42,6 @@ struct LsmConfig {
   u32 data_block_bytes = 4 * KiB;
   u64 block_cache_bytes = 10 * MiB;  // the paper's 10 MB block cache
   u32 max_background_compactions = 2;  // parallel compaction jobs
-  bool wal_enabled = true;
   u32 io_chunk_bytes = 1 * MiB;      // compaction/flush I/O granularity
   /// Crash mode: keep a host-side ledger of what each group-committed WAL
   /// chunk contained and archive rotated WAL segments instead of deleting

@@ -55,7 +55,7 @@ MsrImportStats import_msr_cambridge(std::istream& csv, KvtWriter& out,
     const bool is_read = type == "Read";
     ++st.requests;
     (is_read ? st.reads : st.writes)++;
-    const u32 tenant = opts.disk_as_tenant ? (u32)disk : 0;
+    const u32 tenant = (u32)disk;
     if (tenant > st.max_tenant) st.max_tenant = tenant;
     // Zero-byte requests still touch their start block.
     const u64 first = offset / block;

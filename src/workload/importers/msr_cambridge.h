@@ -28,8 +28,6 @@ struct MsrImportOptions {
   /// Cap on emitted records (0 = whole trace). A request split across
   /// blocks may finish past the cap; the cap is checked per request.
   u64 max_ops = 0;
-  /// Map DiskNumber to the record's tenant lane (off: tenant 0).
-  bool disk_as_tenant = true;
 };
 
 struct MsrImportStats {

@@ -620,7 +620,7 @@ TEST(CrashRecovery, RunnerInjectsCutAndReportsRecovery) {
   EXPECT_GT(r.recovery.crash_time_ns, 0u);
   EXPECT_GT(r.recovery.recovery_ns, 0u);
   EXPECT_GT(r.recovery.discarded_events, 0u);
-  // resume_after_crash issued the remainder against the mounted stack.
+  // The run issued the remainder against the mounted stack.
   EXPECT_GT(r.ops, 0u);
   BenchReport rep("crash_smoke");
   rep.add_run("churn", r);
