@@ -29,7 +29,7 @@ class BlockDevice {
 
   /// Sticky submission-queue hint: subsequent I/Os post to NVMe queue
   /// `qid` until changed (how a multi-tenant block bed pins each tenant's
-  /// syscalls to its own SQ; default 0 is the legacy single-queue path).
+  /// syscalls to its own SQ; default queue 0).
   void set_queue(u32 qid) { qid_ = qid; }
   [[nodiscard]] u32 queue() const { return qid_; }
 

@@ -308,6 +308,32 @@ TEST(NvmeLink, SqFullStallsCounted) {
   EXPECT_EQ(link.queue_stats(1).max_occupancy, 2u);
 }
 
+TEST(NvmeLink, LoneQueueTakesTheArbiterPath) {
+  // One queue is the one-queue case of the multi-queue model: its SQ is
+  // bounded by sq_depth, and its fetches go through the WRR arbiter,
+  // which opens a round (and counts a stall) every arbitration_burst
+  // fetches.
+  sim::EventQueue eq;
+  NvmeConfig cfg;
+  cfg.sq_depth = 1;
+  cfg.device_fetch_ns = 1 * kMs;  // keep entries parked while we post
+  NvmeLink link(eq, cfg);
+  int done = 0;
+  for (int i = 0; i < 3; ++i) link.submit_on(0, 1, 0, [&] { ++done; });
+  EXPECT_EQ(link.queue_stats(0).sq_full_stalls, 1u);
+  eq.run();
+  EXPECT_EQ(done, 3);
+  EXPECT_EQ(link.arbitration_rounds(), 0u);
+  // Fetches 4 to burst + 1: the last one opens the second round.
+  for (u32 i = 3; i <= cfg.arbitration_burst; ++i) {
+    link.submit_on(0, 1, 0, [&] { ++done; });
+    eq.run();
+  }
+  EXPECT_EQ(done, (int)cfg.arbitration_burst + 1);
+  EXPECT_EQ(link.arbitration_rounds(), 1u);
+  EXPECT_EQ(link.queue_stats(0).arbitration_stalls, 1u);
+}
+
 TEST(NvmeLink, SqFullRepollDelayLandsInQueueWait) {
   // A post that finds the SQ at depth waits out sq_repoll_ns before it
   // can park, and that wait must be visible in queue_wait_ns: the entry
