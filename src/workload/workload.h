@@ -165,8 +165,9 @@ struct WorkloadSpec {
   /// order given by `pattern` (sequential, or a shuffled permutation for
   /// random/zipf orders) — KVBench-style population.
   bool distinct_inserts = false;
-  /// How ops arrive. Default (closed loop) is the exact legacy path;
-  /// open-loop kinds decouple arrivals from completions (see ArrivalKind).
+  /// How ops arrive. Default (closed loop): each completion issues the
+  /// next op, up to queue_depth in flight; open-loop kinds decouple
+  /// arrivals from completions (see ArrivalKind).
   ArrivalSchedule arrival;
 
   /// Reject nonsense specs that would otherwise silently generate
