@@ -1,8 +1,10 @@
-// Crash/recovery characterization: cut the power mid-workload at several
-// depths on each stack and measure what a mount costs — recovery time,
-// rebuild I/O (OOB pages scanned by the FTL, WAL chunks replayed by the
-// LSM bed, log blocks scanned by the hashkv bed), and the lost-write
-// window (acknowledged-but-volatile state at the cut). Not a paper
+// Crash/recovery characterization: cut the power mid-workload at the same
+// simulated times on each stack and measure what a mount costs — recovery
+// time (from the cut to the end of the device's and the host's mount;
+// background work the mount queues runs after it), rebuild I/O (OOB pages
+// scanned by the FTL, WAL records replayed by the LSM bed, log blocks
+// scanned by the hashkv bed), and the lost-write window
+// (acknowledged-but-volatile state at the cut). Not a paper
 // figure: the paper's testbeds all ran on PLP-less consumer hardware,
 // and this is the availability/durability view of that choice — the
 // KV-SSD rebuilds its whole index from flash OOB while the hosts replay
@@ -14,7 +16,7 @@ namespace {
 
 struct CrashRow {
   const char* bed;
-  u64 cut_events;
+  TimeNs cut_ns;
   harness::RunResult r;
 };
 
@@ -30,14 +32,14 @@ wl::WorkloadSpec churn_spec() {
   return spec;
 }
 
-harness::RunResult crash_run(harness::KvStack& bed, u64 cut_events) {
+harness::RunResult crash_run(harness::KvStack& bed, TimeNs cut_ns) {
   harness::RunOptions opts;
   opts.drain_after = true;
-  opts.crash_after_events = cut_events;
+  opts.crash_at_ns = cut_ns;
   return run_workload(bed, churn_spec(), opts);
 }
 
-harness::RunResult run_bed(const char* bed, u64 cut) {
+harness::RunResult run_bed(const char* bed, TimeNs cut) {
   if (std::string_view(bed) == "KV-SSD") {
     harness::KvssdBedConfig c = kvssd_cfg(device_gib(1), 40'000);
     c.crash_tracking = true;
@@ -70,26 +72,26 @@ int main() {
   print_header("Crash",
                "power-loss cut + mount-time recovery cost per stack");
   report_init("crash_recovery");
-  std::printf("1 GiB devices, 80k-op churn at QD 64, cut after N events; "
-              "recovery runs on the simulation clock\n");
+  std::printf("1 GiB devices, 80k-op churn at QD 64, cut at T ms into the "
+              "run; recovery runs on the simulation clock\n");
 
   const char* beds[] = {"KV-SSD", "RDB", "AS"};
-  const u64 cuts[] = {10'000, 40'000, 160'000};
+  const TimeNs cuts[] = {5 * kMs, 40 * kMs, 250 * kMs};
+  auto ms = [](TimeNs t) { return std::to_string(t / kMs); };
   std::vector<CrashRow> rows;
   for (const char* bed : beds)
-    for (u64 cut : cuts) {
+    for (TimeNs cut : cuts) {
       CrashRow row{bed, cut, run_bed(bed, cut)};
-      report().add_run(std::string(bed) + "/cut" + std::to_string(cut),
-                       row.r);
+      report().add_run(std::string(bed) + "/cut" + ms(cut) + "ms", row.r);
       rows.push_back(std::move(row));
     }
 
-  Table t({"stack", "cut (events)", "recovery", "discarded", "rebuild pages",
+  Table t({"stack", "cut (ms)", "recovery", "discarded", "rebuild pages",
            "torn", "recovered", "lost", "wal replay", "wal lost",
            "log blocks"});
   for (const CrashRow& row : rows) {
-    const harness::CrashOutcome& o = row.r.recovery;
-    t.add_row({row.bed, std::to_string(row.cut_events),
+    const ssd::CrashOutcome& o = row.r.recovery;
+    t.add_row({row.bed, ms(row.cut_ns),
                us((double)o.recovery_ns) + " us",
                std::to_string(o.discarded_events),
                std::to_string(o.rebuild_pages_read),
@@ -111,25 +113,25 @@ int main() {
       "buffers and in-flight programs — so it stays flat as the run "
       "grows.\n\n");
 
-  auto at = [&](const char* bed, u64 cut) -> const harness::RunResult& {
+  auto at = [&](const char* bed, TimeNs cut) -> const harness::RunResult& {
     for (const CrashRow& row : rows)
-      if (std::string_view(row.bed) == bed && row.cut_events == cut)
+      if (std::string_view(row.bed) == bed && row.cut_ns == cut)
         return row.r;
     static harness::RunResult none;
     return none;
   };
   for (const char* bed : beds) {
-    for (u64 cut : cuts) {
+    for (TimeNs cut : cuts) {
       const harness::RunResult& r = at(bed, cut);
       check_shape(r.crashed && r.recovery.recovery_ns > 0,
                   (std::string(bed) + ": cut fired and mount took time")
                       .c_str());
     }
     // Volatile state (buffers, memtable, in-flight programs) caps the
-    // loss, so it grows far slower than the 16x data-written spread
-    // between the shallowest and deepest cut.
-    auto lost = [&](u64 cut) {
-      const harness::CrashOutcome& o = at(bed, cut).recovery;
+    // loss, so it grows far slower than the 50x run-time spread between
+    // the shallowest and deepest cut.
+    auto lost = [&](TimeNs cut) {
+      const ssd::CrashOutcome& o = at(bed, cut).recovery;
       return o.lost_units + o.wal_records_lost;
     };
     check_shape(lost(cuts[2]) < std::max<u64>(1, lost(cuts[0])) * 8,

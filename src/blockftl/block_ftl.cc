@@ -23,7 +23,7 @@ void validate_block_cfg(const ssd::SsdConfig& dev,
 
 BlockFtl::BlockFtl(sim::EventQueue& eq, flash::FlashController& flash,
                    const ssd::SsdConfig& dev, const BlockFtlConfig& cfg)
-    : FtlCore(eq, flash, dev, cfg.crash_tracking),
+    : FtlCore(eq, flash, dev),
       cfg_(cfg),
       read_cache_(cfg.read_cache_pages) {
   validate_block_cfg(dev, cfg_);
@@ -153,7 +153,7 @@ bool BlockFtl::append_slot(WritePoint& wp, u64 lpn, u64 fp, bool seq,
   rmap_[gsi] = lpn;
   content_[gsi] = fp;
   if (map_audit_) map_audit_->on_map(lpn, gsi);
-  if (cfg_.crash_tracking)
+  if (crash_tracking_)
     wp.staged.push_back(flash::OobEntry{lpn, fp, slot, ++write_seq_});
   ++valid_units_[*wp.block];
   ++live_slots_;
@@ -409,7 +409,7 @@ void BlockFtl::on_block_freed() {
 // Power loss & mount-time recovery
 // ---------------------------------------------------------------------------
 
-void BlockFtl::power_fail_and_recover(ssd::DeviceRecovery& out,
+void BlockFtl::power_fail_and_recover(ssd::CrashOutcome& out,
                                       sim::Task done) {
   // Snapshot the pre-cut host-visible map so the lost-write window can be
   // measured after the rebuild.

@@ -49,11 +49,6 @@ struct BlockFtlConfig {
   u32 write_points = 32;        ///< concurrently open flash pages (one per die)
   u32 seq_run_threshold = 8;    ///< slots in a row before a stream is "seq"
   TimeNs partial_flush_ns = 10 * kMs;  ///< idle timeout to flush partial pages
-  /// Maintain per-page OOB metadata for the power-loss crash/recovery
-  /// model (see power_fail_and_recover). Off by default: the write path
-  /// then skips OOB staging entirely and runs byte-identically to the
-  /// pre-crash-model code.
-  bool crash_tracking = false;
   /// OOB bytes transferred per page during the mount-time rebuild scan
   /// (the array read still pays full tR; only the transfer is small).
   u32 oob_read_bytes = 64;
@@ -106,14 +101,15 @@ class BlockFtl final : public ssd::FtlCore {
 
   // --- crash / power-loss model ----------------------------------------
   /// Power-loss cut at the current simulation time (requires
-  /// crash_tracking; the caller discards the event queue first). All
+  /// crash_tracking(); the caller discards the event queue first). All
   /// volatile state — write buffer, open write points, buffered pages,
   /// in-flight programs, DRAM cache, GC state — is dropped; the map is
   /// rebuilt from per-page OOB metadata in epoch order with torn-write
   /// detection, charging one OOB read per scanned page. `done` runs once
-  /// mount I/O and firmware rebuild time complete. Counters are filled
-  /// synchronously; a recovered unit is a slot re-mapped from OOB.
-  void power_fail_and_recover(ssd::DeviceRecovery& out, sim::Task done);
+  /// mount I/O and firmware rebuild time complete. The FTL's counters in
+  /// `out` are filled synchronously; a recovered unit is a slot re-mapped
+  /// from OOB.
+  void power_fail_and_recover(ssd::CrashOutcome& out, sim::Task done);
 
   /// Crash-recovery probe (no timing, no state change): how many of the
   /// write's logical slots currently map to flash holding exactly the

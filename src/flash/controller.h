@@ -250,10 +250,11 @@ class FlashController {
   [[nodiscard]] FaultModel* faults() const { return faults_; }
 
   // --- crash tracking (per-page OOB metadata) ------------------------------
-  /// Enable OOB capture for the crash/recovery model. Off by default:
-  /// stage_oob() is then a no-op and the command paths charge pre-crash
-  /// timing byte-identically (OOB bookkeeping runs synchronously at
-  /// charge time and schedules no events either way).
+  /// Enable OOB capture for the crash/recovery model: the bed's one
+  /// crash switch, set before the FTL is built (the FTL reads it once,
+  /// and the host layers read theirs from the FTL). Off by default:
+  /// stage_oob() is then a no-op. OOB bookkeeping runs synchronously at
+  /// charge time and schedules no events either way.
   void set_crash_tracking(bool on) { oob_on_ = on; }
   [[nodiscard]] bool crash_tracking() const { return oob_on_; }
 

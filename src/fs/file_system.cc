@@ -28,7 +28,10 @@ void FsConfig::validate() const {
 
 FileSystem::FileSystem(sim::EventQueue& eq, blockapi::BlockDevice& dev,
                        const FsConfig& cfg)
-    : eq_(eq), dev_(dev), cfg_(validated(cfg)) {
+    : eq_(eq),
+      dev_(dev),
+      cfg_(validated(cfg)),
+      crash_tracking_(dev.ftl().crash_tracking()) {
   total_blocks_ = dev_.capacity_bytes() / cfg_.block_bytes;
   if (total_blocks_ < 2)
     throw std::invalid_argument(
@@ -141,7 +144,7 @@ void FileSystem::append(Handle h, u64 bytes, u64 fp_base, Done done) {
     remaining -= e.block_count;
   }
   cpu_ns_ += blocks * cfg_.map_cpu_ns;
-  if (cfg_.crash_tracking) {
+  if (crash_tracking_) {
     u64 fb = 0;  // file block index where this append starts
     for (const Extent& e : ino.extents) fb += e.block_count;
     u64 fp = fp_base;

@@ -31,9 +31,6 @@ struct FsConfig {
   u32 journal_every_ops = 8;
   /// Largest contiguous extent handed out per allocation.
   u32 max_extent_blocks = 256;
-  /// Keep a per-append piece ledger so crash recovery can ask which file
-  /// ranges actually reached flash (see probe_durable). Off by default.
-  bool crash_tracking = false;
 
   /// Throws std::invalid_argument unless block_bytes is a nonzero
   /// multiple of the 512 B LBA and max_extent_blocks and
@@ -79,13 +76,18 @@ class FileSystem {
   void remove(Handle h, Done done);
 
   /// Crash-recovery probe (no timing, no state change; requires
-  /// crash_tracking): true when every fs block covering [offset,
+  /// crash_tracking()): true when every fs block covering [offset,
   /// offset + bytes) of the file is durable on the device with exactly
   /// the content its append wrote. The inode table and extent maps
   /// themselves are modeled as metadata-journal-durable, so after a
   /// power cut recovery re-reads file structure for free and uses this
   /// probe to find the torn tail.
   [[nodiscard]] bool probe_durable(Handle h, u64 offset, u64 bytes) const;
+
+  /// The device FTL's crash switch, read at construction: when on, each
+  /// append keeps a piece ledger so probe_durable can answer, and the
+  /// LSM above reads its switch from here.
+  [[nodiscard]] bool crash_tracking() const { return crash_tracking_; }
 
   [[nodiscard]] u64 file_bytes(Handle h) const;
   [[nodiscard]] u32 block_bytes() const { return cfg_.block_bytes; }
@@ -131,6 +133,7 @@ class FileSystem {
   sim::EventQueue& eq_;
   blockapi::BlockDevice& dev_;
   FsConfig cfg_;
+  const bool crash_tracking_;
 
   std::vector<Inode> inodes_;
   std::unordered_map<std::string, Handle> by_name_;

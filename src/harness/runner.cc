@@ -410,12 +410,10 @@ MixResult run_mix(KvStack& stack, const wl::TenantMix& mix,
   }
   drv.issue_all();
   sim::EventQueue& eq = stack.eq();
-  const bool want_crash =
-      opts.crash_after_events > 0 && stack.crash_supported();
-  u64 steps = 0;
+  const bool want_crash = opts.crash_at_ns > 0 && stack.crash_supported();
   while (!drv.done() && eq.step()) {
     if (want_crash && !drv.result.crashed &&
-        ++steps >= opts.crash_after_events) {
+        eq.now() - drv.t0 >= opts.crash_at_ns) {
       // Power cut: ops in flight die with the event queue, so the issue
       // loop must forget them or it would wait forever for completions
       // that were never going to run.

@@ -45,13 +45,14 @@ struct RunOptions {
   /// so fault-free runs execute the exact pre-fault path.
   ssd::FaultPlan faults;
   /// Crash injection: when nonzero (and the stack was built with crash
-  /// tracking), a power-loss cut fires after this many simulation events
-  /// have been processed. Ops in flight at the cut are discarded — their
-  /// completions die with the event queue — then mount-time recovery runs
-  /// on the stack's clock (KvStack::simulate_crash) and its counters land
-  /// in RunResult::recovery, and the rest of the workload is issued
-  /// against the recovered stack. At most one cut per run.
-  u64 crash_after_events = 0;
+  /// tracking), a power-loss cut fires at the first event at or after
+  /// this much simulated time since the run started. Ops in flight at the
+  /// cut are discarded — their completions die with the event queue —
+  /// then the stack mounts on its own clock (KvStack::simulate_crash), its
+  /// counters land in RunResult::recovery, and the rest of the workload is
+  /// issued against the mounted stack, beside any work the mount queued.
+  /// At most one cut per run.
+  TimeNs crash_at_ns = 0;
   /// Capture the op stream: every op is appended to this `.kvt` writer at
   /// dispatch (issue order, with its tenant index), before any completion
   /// can reorder — so replaying the capture through TraceOpSource
@@ -124,7 +125,7 @@ struct RunResult : OverloadCounters {
   u64 host_cpu_ns = 0;      ///< CPU burned by the stack during the run
   u64 host_retries = 0;     ///< command re-drives by the stack's RetryPolicy
   bool crashed = false;     ///< a power-loss cut fired during this run
-  CrashOutcome recovery;    ///< all-zero unless `crashed`
+  ssd::CrashOutcome recovery;  ///< all-zero unless `crashed`
 
   /// True when any open-loop counter moved (conditional report emission).
   [[nodiscard]] bool overload_activity() const {

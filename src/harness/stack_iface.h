@@ -104,26 +104,6 @@ struct RetryPolicy {
   }
 };
 
-#define KVSIM_CRASH_OUTCOME(X)                                            \
-  X(crash_time_ns)        /* simulation time of the power cut */          \
-  X(recovery_ns)          /* mount duration (device + host recovery) */   \
-  X(discarded_events)     /* pending events dropped at the cut */         \
-  X(rebuild_pages_read)   /* OOB scan reads during the map rebuild */     \
-  X(torn_pages)           /* programs in flight at the cut */             \
-  X(recovered_units)      /* slots / blobs / records restored */          \
-  X(lost_units)           /* device-acked units lost with the buffers */  \
-  X(wal_records_replayed) /* LSM: WAL records re-applied at mount */      \
-  X(wal_records_lost)     /* LSM: acked records past the durable prefix */\
-  X(log_blocks_scanned)   /* hashkv: write blocks scanned at cold start */
-
-/// Outcome counters for one power-loss cut + mount-time recovery cycle.
-/// All zero when no crash was injected (reports emit them only then).
-struct CrashOutcome {
-  KVSIM_COUNTERS(KVSIM_CRASH_OUTCOME)
-
-  [[nodiscard]] bool any() const { return any_counter(*this); }
-};
-
 /// Per-op tenant context: which isolated keyspace the op addresses and
 /// which NVMe submission queue carries it. The default-constructed ctx
 /// (namespace 0, queue 0) is the exact pre-tenancy path on every bed.
@@ -202,15 +182,15 @@ class KvStack {
   virtual u64 host_retries() const { return 0; }
 
   // --- Crash / power-loss model -----------------------------------------
-  /// True when the bed was built with crash tracking enabled (per-page
-  /// OOB metadata and host durability ledgers maintained) and can take a
-  /// power cut.
+  /// True when the bed was built with crash tracking on (per-page OOB
+  /// metadata and host durability ledgers kept) and can take a power cut.
   virtual bool crash_supported() const { return false; }
   /// Power-loss cut at the current simulation time: discard every pending
   /// event and all volatile state per the power-loss atomicity rules,
-  /// then run mount-time recovery to completion on the stack's own
-  /// clock. Returns the recovery counters.
-  virtual CrashOutcome simulate_crash() { return {}; }
+  /// then step the stack's own clock until every layer's mount has called
+  /// back. Work the mount queued (defrag, say) is still pending on return.
+  /// Returns the cut's counters.
+  virtual ssd::CrashOutcome simulate_crash() { return {}; }
   /// Host ops currently in flight (issued, final completion not yet run;
   /// includes ops parked in a retry backoff window).
   virtual u64 inflight_host_ops() const { return 0; }

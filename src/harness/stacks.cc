@@ -21,9 +21,7 @@ void KvssdBed::issue(u32 slot) {
 }
 
 LsmBed::LsmBed(const LsmBedConfig& cfg)
-    : Bed(cfg, cfg.fs.crash_tracking && cfg.lsm.crash_tracking),
-      fs_(eq(), device(), tracked(cfg.fs, cfg.crash_tracking)),
-      store_(eq(), fs_, tracked(cfg.lsm, cfg.crash_tracking)) {}
+    : Bed(cfg), fs_(eq(), device(), cfg.fs), store_(eq(), fs_, cfg.lsm) {}
 
 u64 LsmBed::host_cpu_ns() const {
   return store_.host_cpu_ns() + fs_.host_cpu_ns() + device().host_cpu_ns();
@@ -51,16 +49,8 @@ void LsmBed::quiesce(sim::Task done) {
   });
 }
 
-void LsmBed::remount(CrashOutcome& out) {
-  lsm::LsmStore::HostRecovery hr;
-  store_.power_fail_and_recover(hr, [] {});
-  out.wal_records_replayed = hr.wal_records_replayed;
-  out.wal_records_lost = hr.wal_records_lost;
-}
-
 HashKvBed::HashKvBed(const HashKvBedConfig& cfg)
-    : Bed(cfg, cfg.store.crash_tracking),
-      store_(eq(), device(), tracked(cfg.store, cfg.crash_tracking)) {}
+    : Bed(cfg), store_(eq(), device(), cfg.store) {}
 
 u64 HashKvBed::host_cpu_ns() const {
   return store_.host_cpu_ns() + device().host_cpu_ns();
@@ -80,14 +70,6 @@ void HashKvBed::issue(u32 slot) {
       store_.del(op.key(), on_status(slot));
       return;
   }
-}
-
-void HashKvBed::remount(CrashOutcome& out) {
-  hashkv::HashKvStore::HostRecovery hr;
-  store_.power_fail_and_recover(hr, [] {});
-  out.recovered_units = hr.recovered_records;
-  out.lost_units = hr.lost_records;
-  out.log_blocks_scanned = hr.log_blocks_scanned;
 }
 
 }  // namespace kvsim::harness

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -39,16 +40,23 @@
 namespace kvsim::harness {
 
 /// One simulated drive, built in order: event queue, flash substrate,
-/// FTL, NVMe link, device API.
+/// FTL, NVMe link, device API. `crash_tracking` is the drive's one crash
+/// switch: it is set on the flash controller before the FTL is built,
+/// and every layer above reads its own from the layer below.
 template <typename Ftl, typename Dev>
 class Drive {
  public:
   KVSIM_THREAD_CONFINED;
   template <typename FtlConfig, typename ApiConfig>
   Drive(const ssd::SsdConfig& dev, const FtlConfig& ftl,
-        const nvme::NvmeConfig& nvme, const ApiConfig& api)
-      : flash_(std::make_unique<flash::FlashController>(eq_, dev.geometry,
-                                                        dev.timing)),
+        const nvme::NvmeConfig& nvme, const ApiConfig& api,
+        bool crash_tracking = false)
+      : flash_([&] {
+          auto f = std::make_unique<flash::FlashController>(eq_, dev.geometry,
+                                                            dev.timing);
+          f->set_crash_tracking(crash_tracking);
+          return f;
+        }()),
         ftl_(std::make_unique<Ftl>(eq_, *flash_, dev, ftl)),
         link_(std::make_unique<nvme::NvmeLink>(eq_, nvme)),
         dev_(std::make_unique<Dev>(eq_, *link_, *ftl_, api)) {}
@@ -183,10 +191,15 @@ class Bed : public KvStack, public Drive<Ftl, Dev> {
   }
   [[nodiscard]] u64 host_retries() const override { return host_retries_; }
 
-  [[nodiscard]] bool crash_supported() const override { return crash_on_; }
-  CrashOutcome simulate_crash() override {
-    CrashOutcome out;
-    if (!crash_on_) return out;
+  [[nodiscard]] bool crash_supported() const override {
+    return ftl().crash_tracking();
+  }
+  /// The mount ends when the device's and the host's continuations have
+  /// both fired; recovery_ns stops there, and work the mount queued runs
+  /// on after the caller resumes.
+  ssd::CrashOutcome simulate_crash() override {
+    ssd::CrashOutcome out;
+    if (!crash_supported()) return out;
     sim::EventQueue& q = eq();
     const TimeNs cut = q.now();
     out.crash_time_ns = cut;
@@ -196,14 +209,13 @@ class Bed : public KvStack, public Drive<Ftl, Dev> {
     this->power_cut(cut);
     // The device mounts first (it rebuilds its map synchronously from
     // OOB), so the host layers' recovery probes see post-cut flash truth.
-    ssd::DeviceRecovery dr;
-    this->ftl().power_fail_and_recover(dr, [] {});
-    out.rebuild_pages_read = dr.rebuild_pages_read;
-    out.torn_pages = dr.torn_pages;
-    out.recovered_units = dr.recovered_units;
-    out.lost_units = dr.lost_units;
-    remount(out);
-    q.run();  // mount-time scans and rebuilds, on the bed's clock
+    int mounting = 2;
+    ftl().power_fail_and_recover(out, [&mounting] { --mounting; });
+    remount(out, [&mounting] { --mounting; });
+    while (mounting > 0)
+      if (!q.step())
+        throw std::logic_error(std::string("simulate_crash: ") + name() +
+                               " ran out of events before its mount ended");
     out.recovery_ns = q.now() - cut;
     return out;
   }
@@ -212,24 +224,13 @@ class Bed : public KvStack, public Drive<Ftl, Dev> {
   }
 
  protected:
-  /// `host_tracked`: the layers above the drive keep crash ledgers.
-  /// Crash support is all-or-nothing: every layer or `crash_tracking`.
   template <typename Config>
-  explicit Bed(const Config& cfg, bool host_tracked = true)
-      : Drive<Ftl, Dev>(cfg.dev, tracked(cfg.ftl, cfg.crash_tracking),
-                        cfg.nvme, cfg.api),
-        retry_(cfg.retry),
-        crash_on_(cfg.crash_tracking ||
-                  (cfg.ftl.crash_tracking && host_tracked)) {
+  explicit Bed(const Config& cfg)
+      : Drive<Ftl, Dev>(cfg.dev, cfg.ftl, cfg.nvme, cfg.api,
+                        cfg.crash_tracking),
+        retry_(cfg.retry) {
     retry_.validate();
     budget_.configure(retry_, ssd::FaultPlan{}.seed);
-  }
-
-  /// `c` with crash tracking forced on when `on` (the master switch).
-  template <typename Config>
-  static Config tracked(Config c, bool on) {
-    c.crash_tracking = c.crash_tracking || on;
-    return c;
   }
 
   /// Issue (or re-drive) the op in `slot` on the bed's store path, with
@@ -238,8 +239,11 @@ class Bed : public KvStack, public Drive<Ftl, Dev> {
   /// Drain everything above the host-op gate; `done` runs when quiet.
   virtual void quiesce(sim::Task done) = 0;
   /// After a power cut and the device's mount: start the recovery of the
-  /// host layers above it and fill in their counters.
-  virtual void remount(CrashOutcome&) {}
+  /// host layers above it, fill in their counters, and run `done` when
+  /// their mount ends. A bed with no host layer is done at once.
+  virtual void remount(ssd::CrashOutcome& /*out*/, sim::Task done) {
+    done();
+  }
 
   [[nodiscard]] const HostOp& host_op(u32 slot) const { return ops_[slot]; }
   auto on_status(u32 slot) {
@@ -297,7 +301,6 @@ class Bed : public KvStack, public Drive<Ftl, Dev> {
   SlotPool<HostOp> ops_;
   std::vector<sim::Task> waiters_;
   u64 host_retries_ = 0;
-  const bool crash_on_;
 };
 
 struct KvssdBedConfig {
@@ -306,8 +309,9 @@ struct KvssdBedConfig {
   nvme::NvmeConfig nvme;
   kvapi::KvsApiConfig api;
   RetryPolicy retry;
-  /// Convenience master switch: turns on crash tracking in every layer of
-  /// the bed so simulate_crash() is available.
+  /// The bed's one crash switch: every layer keeps its crash ledger (the
+  /// flash its OOB, each host layer its durability records), so
+  /// simulate_crash() is available.
   bool crash_tracking = false;
 };
 
@@ -358,8 +362,9 @@ struct LsmBedConfig {
   fs::FsConfig fs;
   lsm::LsmConfig lsm;
   RetryPolicy retry;
-  /// Convenience master switch: turns on crash tracking in every layer of
-  /// the bed so simulate_crash() is available.
+  /// The bed's one crash switch: every layer keeps its crash ledger (the
+  /// flash its OOB, each host layer its durability records), so
+  /// simulate_crash() is available.
   bool crash_tracking = false;
 };
 
@@ -391,7 +396,9 @@ class LsmBed final : public Bed<blockftl::BlockFtl, blockapi::BlockDevice> {
  private:
   void issue(u32 slot) override;
   void quiesce(sim::Task done) override;
-  void remount(CrashOutcome& out) override;
+  void remount(ssd::CrashOutcome& out, sim::Task done) override {
+    store_.power_fail_and_recover(out, std::move(done));
+  }
 
   fs::FileSystem fs_;
   lsm::LsmStore store_;
@@ -405,8 +412,9 @@ struct HashKvBedConfig {
   blockapi::BlockApiConfig api;
   hashkv::HashKvConfig store;
   RetryPolicy retry;
-  /// Convenience master switch: turns on crash tracking in every layer of
-  /// the bed so simulate_crash() is available.
+  /// The bed's one crash switch: every layer keeps its crash ledger (the
+  /// flash its OOB, each host layer its durability records), so
+  /// simulate_crash() is available.
   bool crash_tracking = false;
 };
 
@@ -433,7 +441,9 @@ class HashKvBed final : public Bed<blockftl::BlockFtl, blockapi::BlockDevice> {
  private:
   void issue(u32 slot) override;
   void quiesce(sim::Task done) override { store_.drain(std::move(done)); }
-  void remount(CrashOutcome& out) override;
+  void remount(ssd::CrashOutcome& out, sim::Task done) override {
+    store_.power_fail_and_recover(out, std::move(done));
+  }
 
   hashkv::HashKvStore store_;
 };

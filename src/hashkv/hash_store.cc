@@ -1,11 +1,11 @@
 #include "hashkv/hash_store.h"
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 
 #include "common/hash.h"
+#include "sim/join.h"
 
 namespace kvsim::hashkv {
 
@@ -24,7 +24,10 @@ void HashKvConfig::validate() const {
 
 HashKvStore::HashKvStore(sim::EventQueue& eq, blockapi::BlockDevice& dev,
                          const HashKvConfig& cfg)
-    : eq_(eq), dev_(dev), cfg_(cfg) {
+    : eq_(eq),
+      dev_(dev),
+      cfg_(cfg),
+      crash_tracking_(dev.ftl().crash_tracking()) {
   cfg_.validate();
   const u64 nblocks = dev_.capacity_bytes() / cfg_.write_block_bytes;
   blocks_.resize(nblocks);
@@ -176,7 +179,7 @@ void HashKvStore::append_record(u32 id, ValueDesc value, bool is_defrag) {
   r.vsize = value.size;
   r.vfp = value.fingerprint;
   ++r.refs;
-  if (cfg_.crash_tracking)
+  if (crash_tracking_)
     buf_recs_.push_back(DurableLogRec{r.key, buf_used_, rec_size, value.size,
                                       value.fingerprint});
   buf_ids_.push_back(id);
@@ -196,7 +199,7 @@ bool HashKvStore::flush_buffer() {
   f.gen = gen;
   f.used = buf_used_;
   f.ids.swap(buf_ids_);  // the buffer takes the record's emptied list
-  if (cfg_.crash_tracking) {
+  if (crash_tracking_) {
     // Ledger the block at write issue: from here on its fate belongs to
     // the device, and a cold restart decides durability by probing it.
     durable_log_[b] =
@@ -305,7 +308,7 @@ void HashKvStore::defrag_rewrite(u32 b) {
   free_blocks_.push_back(b);
   // The erase takes the block's records with it; live ones were just
   // re-appended and will be ledgered again by the next flush.
-  if (cfg_.crash_tracking) durable_log_.erase(b);
+  if (crash_tracking_) durable_log_.erase(b);
   dev_.trim(wb_lba(b, 0), cfg_.write_block_bytes,
             [this](Status) { run_defrag(); });
 }
@@ -366,7 +369,8 @@ void HashKvStore::del(std::string_view key, PutDone done) {
 // Crash recovery
 // ---------------------------------------------------------------------------
 
-void HashKvStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
+void HashKvStore::power_fail_and_recover(ssd::CrashOutcome& out,
+                                         sim::Task done) {
   const TimeNs now = eq_.now();
 
   // Acked state before the cut, for the lost-write count: the records
@@ -395,16 +399,6 @@ void HashKvStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
   for (auto& wb : blocks_) wb = WriteBlock{};
   free_blocks_.clear();
 
-  struct Gate {
-    int pending = 1;
-    sim::Task done;
-    void open() {
-      if (--pending == 0) done();
-    }
-  };
-  auto gate = std::make_shared<Gate>();
-  gate->done = std::move(done);
-
   // ---- cold restart: scan flushed write blocks in flush order ------------
   // Later flushes carry newer record versions, so applying headers in
   // flush order leaves the index pointing at the newest durable copy.
@@ -415,13 +409,16 @@ void HashKvStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
     return a.second->flush_seq < b.second->flush_seq;
   });
 
+  // One arrival per block read, one for the index-rebuild CPU.
+  auto join = sim::make_join(
+      (int)scan.size() + 1,
+      [done = std::move(done)](Status) mutable { done(); });
+  out.log_blocks_scanned = scan.size();
   u64 applied = 0;
   std::vector<u32> torn;
   for (const auto& [b, led] : scan) {
-    ++out.log_blocks_scanned;
-    ++gate->pending;
     dev_.read(wb_lba(b, 0), (u32)cfg_.write_block_bytes,
-              [gate](Status, u64) { gate->open(); });
+              [join](Status, u64) { join->arrive(); });
     const Lba lba = wb_lba(b, 0);
     const u64 fp = ((u64)b << 32) | led->gen;
     const bool durable =
@@ -431,7 +428,6 @@ void HashKvStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
     if (!durable) {
       // The 128 KiB block write was still (partly) in the device's
       // volatile write path: every record in it is gone.
-      ++out.torn_blocks;
       torn.push_back(b);
       continue;
     }
@@ -465,30 +461,28 @@ void HashKvStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
     ++r.refs;
     app_bytes_live_ += r.key.size() + r.vsize;
   }
-  out.recovered_records = live_records_;
+  out.recovered_units = live_records_;
 
   // Free list in the same descending order the constructor uses.
   for (u32 b = (u32)blocks_.size(); b-- > 0;)
     if (blocks_[b].free) free_blocks_.push_back(b);
 
+  out.lost_units = 0;  // records, in place of the FTL's slots
   for (const Rec& p : pre) {
     if (p.wb == kDeleted) continue;
     const u32 id = find(p.key, hash64(p.key));
-    if (id == KeyIndex::kNone || recs_[id].vfp != p.vfp) ++out.lost_records;
+    if (id == KeyIndex::kNone || recs_[id].vfp != p.vfp) ++out.lost_units;
   }
 
   // Index-rebuild CPU: one primary-index insert per applied header.
   const TimeNs cpu = (TimeNs)applied * cfg_.index_cpu_ns;
   cpu_ns_ += cpu;
-  ++gate->pending;
-  eq_.schedule_at(fg_cpu_.reserve(now, cpu), [gate] { gate->open(); });
+  eq_.schedule_at(fg_cpu_.reserve(now, cpu), [join] { join->arrive(); });
 
   // Low-occupancy survivors go back on the defrag queue (background;
   // not part of the mount itself).
   for (u32 b = 0; b < (u32)blocks_.size(); ++b)
     if (!blocks_[b].free) maybe_queue_defrag(b);
-
-  gate->open();  // release the initial hold
 }
 
 // ---------------------------------------------------------------------------

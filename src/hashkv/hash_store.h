@@ -47,12 +47,6 @@ struct HashKvConfig {
   TimeNs buffer_copy_ns = 1500;   ///< staging a record into the buffer
   TimeNs defrag_cpu_per_record_ns = 800;
 
-  /// Crash mode: keep a host-side ledger of the records each flushed
-  /// write block carried, standing in for the parseable record headers a
-  /// cold-restart device scan would read. Off by default (no behavior
-  /// change).
-  bool crash_tracking = false;
-
   /// Throws std::invalid_argument on a config the store cannot run.
   void validate() const;
 };
@@ -78,23 +72,18 @@ class HashKvStore {
   /// flushed too. Always calls back.
   void drain(sim::Task done);
 
-  /// Cold-restart recovery counters (see power_fail_and_recover).
-  struct HostRecovery {
-    u64 log_blocks_scanned = 0;  // write blocks read during the scan
-    u64 torn_blocks = 0;         // flushed blocks that never fully landed
-    u64 recovered_records = 0;   // index entries after the rebuild
-    u64 lost_records = 0;        // acked writes absent (or stale) after it
-  };
-
   /// Power cut at eq_.now(): the RAM primary index, the active write
   /// buffer, and waiting/unflushed work vanish. Cold restart then scans
   /// every flushed write block, drops blocks whose 128 KiB write never
   /// fully reached flash, and rebuilds the index by replaying record
   /// headers in flush order. RAM-only deletes resurrect (Aerospike
-  /// semantics without durable deletes). Requires crash_tracking on this
-  /// store and on the block FTL beneath it; `done` fires when the scan
-  /// I/O and index-rebuild CPU settle.
-  void power_fail_and_recover(HostRecovery& out, sim::Task done);
+  /// semantics without durable deletes). Needs crash tracking. Fills
+  /// `out`'s log_blocks_scanned and sets its recovered_units and
+  /// lost_units to records (index entries after the rebuild; acked
+  /// records absent or stale after it). `done` fires when the scan I/O
+  /// and index-rebuild CPU settle; low-occupancy survivors are queued
+  /// for defrag, which runs after it.
+  void power_fail_and_recover(ssd::CrashOutcome& out, sim::Task done);
 
   // --- telemetry -----------------------------------------------------------
   [[nodiscard]] u64 host_cpu_ns() const { return cpu_ns_; }
@@ -195,6 +184,10 @@ class HashKvStore {
   sim::EventQueue& eq_;
   blockapi::BlockDevice& dev_;
   HashKvConfig cfg_;
+  /// The device FTL's crash switch, read at construction. When on, the
+  /// store ledgers the records each flushed write block carried, standing
+  /// in for the record headers a cold-restart device scan would parse.
+  const bool crash_tracking_;
   sim::Resource fg_cpu_;
   sim::Resource defrag_cpu_;
 

@@ -29,7 +29,7 @@ void validate_kv_cfg(const ssd::SsdConfig& dev, const KvFtlConfig& cfg) {
 
 KvFtl::KvFtl(sim::EventQueue& eq, flash::FlashController& flash,
              const ssd::SsdConfig& dev, const KvFtlConfig& cfg)
-    : FtlCore(eq, flash, dev, cfg.crash_tracking),
+    : FtlCore(eq, flash, dev),
       cfg_(cfg),
       managers_(std::max<u32>(1, cfg.index_managers)),
       index_(cfg.index),
@@ -223,7 +223,7 @@ void KvFtl::commit_store(const Cmd& c) {
   blob.key_bytes = (u16)c.key.size();
   blob.vfp = c.value.fingerprint;
   ++blob.gen;
-  if (cfg_.crash_tracking)
+  if (crash_tracking_)
     key_dir_[khash] = KeyDirEntry{std::string(c.key.view()), c.nsid};
   blob.assign_chunks(chunks_for_blob(c.slots, cfg_.page_data_slots),
                      ChunkRef{kPendingBlock, 0});
@@ -377,7 +377,7 @@ bool KvFtl::place_on(Lane& lane, u64 khash, u8 chunk_idx, u16 slot_count,
   BlobRec* blob = blob_table_.find(khash);
   if (blob && chunk_idx < blob->chunks().size())
     blob->chunks()[chunk_idx] = ChunkRef{(u32)b, rec_idx};
-  if (cfg_.crash_tracking && blob) {
+  if (crash_tracking_ && blob) {
     // OOB blob descriptor, mirroring what the firmware writes into the
     // page meta area: a=gen|chunk|slot_start, b=value|slots|key bytes.
     const BlobRec& br = *blob;
@@ -819,8 +819,7 @@ void KvFtl::on_block_freed() {
 // Power loss & mount-time recovery
 // ---------------------------------------------------------------------------
 
-void KvFtl::power_fail_and_recover(ssd::DeviceRecovery& out,
-                                   sim::Task done) {
+void KvFtl::power_fail_and_recover(ssd::CrashOutcome& out, sim::Task done) {
   // Snapshot the pre-cut blob table for the lost-write window.
   std::vector<std::pair<u64, u64>> pre;  // (khash, vfp)
   pre.reserve(blob_table_.size());

@@ -76,11 +76,6 @@ struct KvFtlConfig {
   bool track_iterator_keys = true;
   double capacity_guard = 0.98;  ///< reject stores past this slot fraction
 
-  /// Maintain per-page OOB metadata for the power-loss crash/recovery
-  /// model (see power_fail_and_recover). Off by default: the store path
-  /// then skips OOB staging entirely and runs byte-identically to the
-  /// pre-crash-model code.
-  bool crash_tracking = false;
   /// Bytes read per data page during the mount rebuild scan — the page
   /// meta area (blob descriptors, keys, offset pointers), not the values.
   u32 mount_read_bytes = 4 * KiB;
@@ -156,17 +151,17 @@ class KvFtl final : public ssd::FtlCore {
 
   // --- crash / power-loss model ----------------------------------------
   /// Power-loss cut at the current simulation time (requires
-  /// crash_tracking; the caller discards the event queue first). All
+  /// crash_tracking(); the caller discards the event queue first). All
   /// volatile state — write buffer, open lanes, in-flight programs and
   /// host commands, the RAM blob table, Bloom filter, iterator buckets,
   /// and the DRAM index — is dropped; the store is rebuilt from per-page
   /// OOB blob descriptors: a KVP recovers at its highest generation whose
   /// chunks are all durable (a torn multi-chunk blob falls back to the
   /// previous complete generation, or is lost). `done` runs when mount
-  /// I/O and firmware rebuild time complete. Counters are filled
-  /// synchronously; a recovered unit is a KVP whose newest complete copy
-  /// mounted.
-  void power_fail_and_recover(ssd::DeviceRecovery& out, sim::Task done);
+  /// I/O and firmware rebuild time complete. The FTL's counters in `out`
+  /// are filled synchronously; a recovered unit is a KVP whose newest
+  /// complete copy mounted.
+  void power_fail_and_recover(ssd::CrashOutcome& out, sim::Task done);
   /// Occupancy of the pooled per-command state (crash-recovery checks).
   [[nodiscard]] PoolUsage command_pool_usage() const {
     return cmds_.usage();

@@ -56,11 +56,12 @@ LsmStore::LsmStore(sim::EventQueue& eq, fs::FileSystem& fs,
     : eq_(eq),
       fs_(fs),
       cfg_(validated(cfg)),
+      crash_tracking_(fs.crash_tracking()),
       levels_(cfg.num_levels),
       compact_rr_(cfg.num_levels, 0),
       block_cache_(cfg.block_cache_bytes / cfg.data_block_bytes) {
   wal_file_ = fs_.create("wal-0");
-  if (cfg_.crash_tracking) wal_ledger_.file = wal_file_;
+  if (crash_tracking_) wal_ledger_.file = wal_file_;
 }
 
 // ---------------------------------------------------------------------------
@@ -105,7 +106,7 @@ void LsmStore::do_write(std::string_view key, ValueDesc value, bool tombstone,
 
   bool wal_io = false;
   u64 wal_chunk = 0;
-  if (cfg_.crash_tracking)
+  if (crash_tracking_)
     wal_ledger_.buffered.push_back(
         WalRecord{std::string(key), value, tombstone, seq_});
   wal_buffer_bytes_ += key.size() + value.size + 12;
@@ -115,7 +116,7 @@ void LsmStore::do_write(std::string_view key, ValueDesc value, bool tombstone,
     wal_total_bytes_ += wal_chunk;
     wal_seg_bytes_ += wal_chunk;
     wal_io = true;
-    if (cfg_.crash_tracking) {
+    if (crash_tracking_) {
       const u64 bb = fs_.block_bytes();
       const u64 blocks = (wal_chunk + bb - 1) / bb;
       wal_ledger_.chunks.push_back(WalChunk{
@@ -158,7 +159,7 @@ void LsmStore::rotate_memtable() {
                 (unsigned long long)++wal_gen_);
   wal_file_ = fs_.create(name);
   wal_buffer_bytes_ = 0;
-  if (cfg_.crash_tracking) {
+  if (crash_tracking_) {
     // Records still in the group-commit buffer stay with the archived
     // segment as its unflushed tail: acked, never WAL'd, durable only if
     // the flush's SST makes it to flash.
@@ -244,7 +245,7 @@ void LsmStore::finish_flush(std::shared_ptr<Sst> sst) {
   // the flush's appends are acked but possibly still in the device write
   // buffer, so dropping the WAL here is exactly the no-fsync data-loss
   // window the crash model exists to expose.
-  if (!cfg_.crash_tracking &&
+  if (!crash_tracking_ &&
       rotated_wal_ != fs::FileSystem::kInvalidHandle) {
     const auto dead = rotated_wal_;
     rotated_wal_ = fs::FileSystem::kInvalidHandle;
@@ -586,7 +587,8 @@ void LsmStore::finish_get(u32 slot) {
 // Crash recovery
 // ---------------------------------------------------------------------------
 
-void LsmStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
+void LsmStore::power_fail_and_recover(ssd::CrashOutcome& out,
+                                      sim::Task done) {
   const TimeNs now = eq_.now();
 
   // ---- power loss: host DRAM is gone -------------------------------------
@@ -607,15 +609,9 @@ void LsmStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
   for (auto& level : levels_)
     for (auto& s : level) s->compacting = false;
 
-  struct Gate {
-    int pending = 1;
-    sim::Task done;
-    void open() {
-      if (--pending == 0) done();
-    }
-  };
-  auto gate = std::make_shared<Gate>();
-  gate->done = std::move(done);
+  // The mount's CPU holds the join's first count; each mount I/O adds one.
+  auto join = sim::make_join(
+      1, [done = std::move(done)](Status) mutable { done(); });
 
   // ---- mount 1/3: keep only SSTs whose every block reached flash ---------
   // The manifest (levels structure) and fs metadata are modeled as
@@ -630,15 +626,12 @@ void LsmStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
     kept.reserve(level.size());
     for (auto& s : level) {
       ++footer_reads;
-      ++gate->pending;
+      ++join->remaining;
       fs_.read(s->file, 0, std::min<u64>(s->file_bytes, 4 * KiB),
-               [gate](Status, u64) { gate->open(); });
+               [join](Status, u64) { join->arrive(); });
       if (fs_.probe_durable(s->file, 0, s->file_bytes)) {
         survivors.push_back(s->file);
         kept.push_back(s);
-        ++out.ssts_kept;
-      } else {
-        ++out.ssts_discarded;
       }
     }
     level = std::move(kept);
@@ -652,8 +645,8 @@ void LsmStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
     if (h == fs::FileSystem::kInvalidHandle) continue;
     if (std::find(survivors.begin(), survivors.end(), h) != survivors.end())
       continue;
-    ++gate->pending;
-    fs_.remove(h, [gate](Status) { gate->open(); });
+    ++join->remaining;
+    fs_.remove(h, [join](Status) { join->arrive(); });
   }
 
   // ---- mount 2/3: replay the durable prefix of every WAL segment ---------
@@ -678,12 +671,11 @@ void LsmStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
     std::vector<WalChunk> durable_chunks;
     durable_chunks.reserve(led.chunks.size());
     for (WalChunk& c : led.chunks) {
-      ++out.wal_chunks_scanned;
       if (!torn &&
           fs_.probe_durable(led.file, c.file_block * bb, c.blocks * bb)) {
-        ++gate->pending;
+        ++join->remaining;
         fs_.read_blocks(led.file, c.file_block, c.blocks,
-                        [gate](Status, u64) { gate->open(); });
+                        [join](Status, u64) { join->arrive(); });
         for (const WalRecord& r : c.records) {
           ++out.wal_records_replayed;
           if (sst_covers(r.key, r.seq)) continue;
@@ -744,10 +736,7 @@ void LsmStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
   const TimeNs cpu = footer_reads * cfg_.block_parse_ns +
                      out.wal_records_replayed * cfg_.memtable_insert_ns;
   cpu_ns_ += cpu;
-  ++gate->pending;
-  eq_.schedule_at(fg_cpu_.reserve(now, cpu), [gate] { gate->open(); });
-
-  gate->open();  // release the initial hold
+  eq_.schedule_at(fg_cpu_.reserve(now, cpu), [join] { join->arrive(); });
 }
 
 // ---------------------------------------------------------------------------

@@ -43,11 +43,6 @@ struct LsmConfig {
   u64 block_cache_bytes = 10 * MiB;  // the paper's 10 MB block cache
   u32 max_background_compactions = 2;  // parallel compaction jobs
   u32 io_chunk_bytes = 1 * MiB;      // compaction/flush I/O granularity
-  /// Crash mode: keep a host-side ledger of what each group-committed WAL
-  /// chunk contained and archive rotated WAL segments instead of deleting
-  /// them at flush install, so power_fail_and_recover can replay the
-  /// durable prefix. Off by default (no behavior change).
-  bool crash_tracking = false;
 
   // Host CPU cost model (charged to a serialized writer/reader path or to
   // the background-compaction thread).
@@ -86,23 +81,15 @@ class LsmStore {
   /// Flush the memtable and wait for all background work to quiesce.
   void drain(sim::Task done);
 
-  /// Mount-time crash recovery counters (see power_fail_and_recover).
-  struct HostRecovery {
-    u64 ssts_kept = 0;
-    u64 ssts_discarded = 0;  // installed but torn on flash; WAL re-covers
-    u64 wal_chunks_scanned = 0;
-    u64 wal_records_replayed = 0;
-    u64 wal_records_lost = 0;  // acked writes with no durable copy anywhere
-  };
-
   /// Power cut at eq_.now(): drop all DRAM state (memtable, immutable
   /// memtable, stalled and group-commit-buffered writes, block cache),
   /// then mount. Mount keeps only SSTs whose every block reached flash
   /// (torn or never-installed files are deleted), replays the durable
   /// prefix of every archived + live WAL segment into a fresh memtable,
-  /// and recomputes the write sequence from durable state. Requires
-  /// crash_tracking; `done` fires when recovery I/O and CPU settle.
-  void power_fail_and_recover(HostRecovery& out, sim::Task done);
+  /// and recomputes the write sequence from durable state. Needs crash
+  /// tracking; fills `out`'s WAL counters, and `done` fires when recovery
+  /// I/O and CPU settle.
+  void power_fail_and_recover(ssd::CrashOutcome& out, sim::Task done);
 
   // --- telemetry -----------------------------------------------------------
   /// Host CPU burned by this store (foreground + compaction), excluding
@@ -189,6 +176,11 @@ class LsmStore {
   sim::EventQueue& eq_;
   fs::FileSystem& fs_;
   LsmConfig cfg_;
+  /// The fs's crash switch, read at construction. When on, the store
+  /// keeps a ledger of what each group-committed WAL chunk contained and
+  /// archives rotated WAL segments instead of deleting them at flush
+  /// install, so power_fail_and_recover can replay the durable prefix.
+  const bool crash_tracking_;
 
   sim::Resource fg_cpu_;    // foreground writer/reader thread
   sim::Resource bg_cpu_;    // background flush/compaction thread

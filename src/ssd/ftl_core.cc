@@ -23,7 +23,7 @@ void audit_block_transition(flash::BlockId b, BlockState from,
 }
 
 FtlCore::FtlCore(sim::EventQueue& eq, flash::FlashController& flash,
-                 const SsdConfig& dev, bool crash_tracking)
+                 const SsdConfig& dev)
     : eq_(eq),
       flash_(flash),
       geom_(dev.geometry),
@@ -32,13 +32,12 @@ FtlCore::FtlCore(sim::EventQueue& eq, flash::FlashController& flash,
       gc_reserved_blocks_(dev.gc_reserved_blocks),
       gc_low_watermark_(dev.gc_low_watermark_blocks),
       dispatch_ns_(dev.firmware_dispatch_ns),
-      crash_tracking_(crash_tracking) {
+      crash_tracking_(flash.crash_tracking()) {
   dev.validate();
   block_state_.assign(geom_.total_blocks(), BlockState::kFree);
   valid_units_.assign(geom_.total_blocks(), 0);
   buffered_pages_.assign(geom_.total_pages(), 0);
   buffered_count_.assign(geom_.total_blocks(), 0);
-  if (crash_tracking_) flash_.set_crash_tracking(true);
 #if KVSIM_AUDIT
   flash_audit_ = std::make_unique<FlashAudit>(geom_);
   flash_.set_audit(flash_audit_.get());
@@ -300,7 +299,7 @@ void FtlCore::retire_erase_failed(flash::BlockId b) {
 
 FtlCore::PowerCut FtlCore::cut_power() {
   if (!crash_tracking_)
-    throw std::logic_error("power_fail_and_recover needs crash_tracking");
+    throw std::logic_error("power_fail_and_recover needs crash tracking");
   PowerCut cut;
   cut.torn = flash_.power_loss(eq_.now());
   for (const auto& [p, oob] : flash_.committed_oob())

@@ -37,15 +37,6 @@ inline JoinPtr make_join(int n, sim::Task then) {
   return std::make_shared<Join>(Join{n, std::move(then)});
 }
 
-/// Device-side counters of one power-loss + mount cycle, filled by each
-/// FTL's power_fail_and_recover.
-struct DeviceRecovery {
-  u64 rebuild_pages_read = 0;  ///< pages whose OOB the mount scan read
-  u64 torn_pages = 0;          ///< programs in flight at the cut
-  u64 recovered_units = 0;     ///< slots / KVPs mapped again by the mount
-  u64 lost_units = 0;          ///< pre-cut units missing or stale after it
-};
-
 /// Lifecycle state of one flash block. kIndexBlock holds the KV FTL's index
 /// log. kBad is a grown bad block, retired after a program or erase failure:
 /// never erased, re-allocated or collected; units on its programmed pages
@@ -89,6 +80,10 @@ class FtlCore {
   [[nodiscard]] u64 buffer_stalls() const {
     return buffer_.total_stall_events();
   }
+  /// The flash controller's crash-tracking switch, read when the FTL was
+  /// built: stage OOB for every program so a power cut can be mounted.
+  /// The host layers above read theirs from here.
+  [[nodiscard]] bool crash_tracking() const { return crash_tracking_; }
 
   /// Arm (plan.enabled) or disarm fault injection. Disarmed, no injector
   /// exists and the flash hot path is exactly the pre-fault one. Arming
@@ -105,7 +100,7 @@ class FtlCore {
 
  protected:
   FtlCore(sim::EventQueue& eq, flash::FlashController& flash,
-          const SsdConfig& dev, bool crash_tracking);
+          const SsdConfig& dev);
 
   // Hooks. GC picked a victim holding `valid` units (true: stop, futile);
   // list its pages holding valid units; re-place those units; then, after
@@ -200,7 +195,7 @@ class FtlCore {
   u32 gc_reserved_blocks_;
   u32 gc_low_watermark_;
   TimeNs dispatch_ns_;  // per-command firmware dispatch
-  bool crash_tracking_;
+  const bool crash_tracking_;
 
   std::vector<BlockState> block_state_;
   std::vector<u32> valid_units_;    // per block: live mapping units

@@ -1,5 +1,6 @@
 // Device-level counters every FTL maintains (the simulator's equivalent of
-// S.M.A.R.T. / NVMe-CLI telemetry the paper collects).
+// S.M.A.R.T. / NVMe-CLI telemetry the paper collects), and the one record
+// of a power cut that every layer's mount fills.
 #pragma once
 
 #include "common/counters.h"
@@ -53,6 +54,29 @@ struct FtlStats {
     visit_faults([&any](const char*, u64 v) { any |= v; }, *this);
     return any != 0;
   }
+};
+
+#define KVSIM_CRASH_OUTCOME(X)                                            \
+  X(crash_time_ns)        /* simulation time of the power cut */          \
+  X(recovery_ns)          /* cut to the last mount continuation */        \
+  X(discarded_events)     /* pending events dropped at the cut */         \
+  X(rebuild_pages_read)   /* FTL: OOB scan reads during the map rebuild */\
+  X(torn_pages)           /* FTL: programs in flight at the cut */        \
+  X(recovered_units)      /* slots / blobs / records restored */          \
+  X(lost_units)           /* acked units missing or stale after mount */  \
+  X(wal_records_replayed) /* LSM: WAL records re-applied at mount */      \
+  X(wal_records_lost)     /* LSM: acked records past the durable prefix */\
+  X(log_blocks_scanned)   /* hashkv: write blocks scanned at cold start */
+
+/// Counters of one power-loss cut and its mount. The bed stamps the cut;
+/// each layer's power_fail_and_recover fills its own fields, and the
+/// hashkv store's record counts replace the FTL's slot counts in
+/// recovered_units and lost_units. All zero when no cut fired (reports
+/// emit them only then).
+struct CrashOutcome {
+  KVSIM_COUNTERS(KVSIM_CRASH_OUTCOME)
+
+  [[nodiscard]] bool any() const { return any_counter(*this); }
 };
 
 }  // namespace kvsim::ssd

@@ -182,7 +182,7 @@ class OracleDriver {
     return out;
   }
 
-  [[nodiscard]] const CrashOutcome& outcome() const { return outcome_; }
+  [[nodiscard]] const ssd::CrashOutcome& outcome() const { return outcome_; }
   [[nodiscard]] u64 keys_touched() const { return issued_.size(); }
 
  private:
@@ -212,7 +212,7 @@ class OracleDriver {
   u64 key_space_;
   Rng rng_;
   u64 inflight_ = 0;
-  CrashOutcome outcome_;
+  ssd::CrashOutcome outcome_;
   std::unordered_map<u64, u32> versions_;
   std::unordered_map<u64, std::unordered_set<u64>> issued_;
   std::unordered_map<u64, u64> last_acked_;
@@ -554,7 +554,7 @@ TEST_P(CrashSweep, DrainedStateSurvivesCutExactly) {
   bed->eq().run();
   ASSERT_TRUE(drained);
 
-  const CrashOutcome out = bed->simulate_crash();
+  const ssd::CrashOutcome out = bed->simulate_crash();
   EXPECT_GT(out.recovery_ns, 0u);
   EXPECT_GT(out.rebuild_pages_read + out.log_blocks_scanned, 0u)
       << "mount did no rebuild I/O";
@@ -565,7 +565,7 @@ TEST_P(CrashSweep, DrainedStateSurvivesCutExactly) {
 // post-mount readback (crash handling preserves simulator determinism).
 TEST_P(CrashSweep, RecoveryIsDeterministic) {
   const auto kind = (BedKind)GetParam();
-  CrashOutcome out[2];
+  ssd::CrashOutcome out[2];
   std::map<u64, std::pair<int, u64>> digest[2];
   for (int i = 0; i < 2; ++i) {
     auto bed = make_bed(kind);
@@ -614,10 +614,12 @@ TEST(CrashRecovery, RunnerInjectsCutAndReportsRecovery) {
   LsmBed bed(c);
   RunOptions opts;
   opts.drain_after = true;
-  opts.crash_after_events = 5000;
+  opts.crash_at_ns = 10 * kMs;
   const RunResult r = run_workload(bed, churn_spec(3000, 21), opts);
   EXPECT_TRUE(r.crashed);
-  EXPECT_GT(r.recovery.crash_time_ns, 0u);
+  // The cut lands on the first event at or after 10 ms into the run.
+  EXPECT_GE(r.recovery.crash_time_ns, 10 * kMs);
+  EXPECT_LT(r.recovery.crash_time_ns, 11 * kMs);
   EXPECT_GT(r.recovery.recovery_ns, 0u);
   EXPECT_GT(r.recovery.discarded_events, 0u);
   // The run issued the remainder against the mounted stack.
@@ -636,13 +638,67 @@ TEST(CrashRecovery, CutRequestIsIgnoredWithoutCrashTracking) {
   EXPECT_FALSE(bed.crash_supported());
   RunOptions opts;
   opts.drain_after = true;
-  opts.crash_after_events = 500;
+  opts.crash_at_ns = 2 * kMs;
   const RunResult r = run_workload(bed, churn_spec(1500, 5), opts);
   EXPECT_FALSE(r.crashed);
   EXPECT_FALSE(r.recovery.any());
   BenchReport rep("no_crash");
   rep.add_run("churn", r);
   EXPECT_EQ(rep.to_json().find("\"recovery\""), std::string::npos);
+}
+
+// The bed's one switch reaches every layer: a cut mid-run finds each
+// layer's ledger full. The FTL rebuilds from OOB, the LSM replays its WAL
+// (through the fs's durability probe) and hashkv scans its log blocks.
+TEST(CrashRecovery, BedSwitchReachesEveryLayer) {
+  for (BedKind kind : {kKvssd, kLsm, kHashKv}) {
+    SCOPED_TRACE(kBedNames[kind]);
+    auto bed = make_bed(kind);
+    RunOptions opts;
+    opts.drain_after = true;
+    opts.crash_at_ns = 5 * kMs;
+    const RunResult r = run_workload(*bed, churn_spec(3000, 21), opts);
+    ASSERT_TRUE(r.crashed);
+    EXPECT_GT(r.recovery.rebuild_pages_read, 0u);
+    if (kind == kLsm) EXPECT_GT(r.recovery.wal_records_replayed, 0u);
+    if (kind == kHashKv) EXPECT_GT(r.recovery.log_blocks_scanned, 0u);
+  }
+}
+
+// recovery_ns ends when the device's and the host's mount continuations
+// have fired. Defrag that the hashkv mount queues for low-occupancy
+// survivors is background work: it is still pending when the cut returns
+// and runs on after it.
+TEST(CrashRecovery, MountEndsBeforeItsBackgroundWork) {
+  auto bed = std::unique_ptr<HashKvBed>(
+      static_cast<HashKvBed*>(make_bed(kHashKv).release()));
+  // Puts and deletes at QD 64 outrun defrag, so write blocks go below
+  // the defrag threshold faster than it empties them.
+  Rng rng(3);
+  u64 issued = 0, inflight = 0;
+  auto issue = [&] {
+    for (; inflight < 64 && issued < 4000; ++issued, ++inflight) {
+      const std::string key = wl::make_key(rng.below(1000), kKeyBytes);
+      if (rng.below(4) == 0)
+        bed->remove(key, [&inflight](Status) { --inflight; });
+      else
+        bed->store(key, ValueDesc{kValueBytes, issued},
+                   [&inflight](Status) { --inflight; });
+    }
+  };
+  issue();
+  while (issued < 4000 && bed->eq().step()) issue();
+  const u64 defrags = bed->store().defrags_run();
+  const ssd::CrashOutcome out = bed->simulate_crash();
+  ASSERT_GT(bed->store().defrags_run(), defrags)
+      << "the mount queued no defrag";
+  EXPECT_FALSE(bed->eq().empty()) << "the cut ran the mount's defrag";
+  EXPECT_EQ(out.recovery_ns, bed->eq().now() - out.crash_time_ns);
+  bool drained = false;
+  bed->drain([&drained] { drained = true; });
+  bed->eq().run();
+  EXPECT_TRUE(drained);
+  EXPECT_GT(bed->store().defrags_run(), defrags + 1);
 }
 
 // Crash *tracking* must not perturb crash-free execution: for beds whose

@@ -376,7 +376,7 @@ TEST(HashKvIndex, MatchesAMapModelThroughDefragAndACrash) {
     if (!model.count(wl::make_key(i, 16)))
       put(wl::make_key(i, 16), 500, ++fp);
   drain();
-  const harness::CrashOutcome out = bed.simulate_crash();
+  const ssd::CrashOutcome out = bed.simulate_crash();
   EXPECT_EQ(out.lost_units, 0u);
   EXPECT_EQ(out.recovered_units, model.size());
   EXPECT_EQ(bed.store().op_pool_usage().live, 0u);

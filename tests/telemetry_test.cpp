@@ -330,7 +330,7 @@ TEST(Report, EveryListedCounterIsAKeyOfItsBlock) {
   r.telemetry.finalize(1);
   harness::ErrorCounts::visit(one, r.errors);
   harness::OverloadCounters::visit(one, r);
-  harness::CrashOutcome::visit(one, r.recovery);
+  ssd::CrashOutcome::visit(one, r.recovery);
   m.queues.push_back(harness::QueueUsage{});
   nvme::NvmeQueueStats::visit(one, m.queues[0].stats);
   ssd::FaultPlan plan;
@@ -351,7 +351,7 @@ TEST(Report, EveryListedCounterIsAKeyOfItsBlock) {
                                              "error_breakdown");
   expect_every_counter<harness::OverloadCounters>(run->get("overload"),
                                                   "overload");
-  expect_every_counter<harness::CrashOutcome>(run->get("recovery"),
+  expect_every_counter<ssd::CrashOutcome>(run->get("recovery"),
                                               "recovery");
   const JsonValue* slice =
       &run->get("timeslices")->get("slices")->array.at(0);
