@@ -7,10 +7,12 @@ Every *.json file is parsed and walked in both trees. A key present in
 only one of them is reported as an added or removed path, with array
 indices folded (runs[].result.timeslices.slices[].rmw_ops) and the number
 of places it occurs; so is an array element past the other side's length
-(runs[], with the number of elements). Every leaf value that differs is
-reported at its full path with the old and new value.
-Every *.csv file is compared cell by cell. A file present on one side only
-counts as added or removed.
+(runs[], with the number of elements). Changed leaf values are grouped by
+folded path: a path with one change prints it at its full path with the
+old and new value, and a path with more prints one line with the number
+of changed values and the first change.
+Every *.csv file is compared cell by cell, one line per changed cell. A
+file present on one side only counts as added or removed.
 
 Exits 1 when a value changed or a key or file disappeared, and 0 when
 NEW only adds keys or files; 2 on a usage error. Standard library only.
@@ -137,8 +139,17 @@ def main():
             print("  removed %s (%d)" % (p, count))
         for p, count in sorted(d.added.items()):
             print("  added   %s (%d)" % (p, count))
-        for p, x, y in d.changed:
-            print("  changed %s: %s -> %s" % (p, x, y))
+        groups = {}  # folded path -> its changes, in walk order
+        for c in d.changed:
+            key = fold(c[0]) if name.endswith(".json") else c[0]
+            groups.setdefault(key, []).append(c)
+        for key, changes in groups.items():
+            p, x, y = changes[0]
+            if len(changes) == 1:
+                print("  changed %s: %s -> %s" % (p, x, y))
+            else:
+                print("  changed %s (%d values), first %s: %s -> %s" %
+                      (key, len(changes), p, x, y))
         n_changed += len(d.changed)
         n_removed += len(d.removed)
         n_added += len(d.added)
