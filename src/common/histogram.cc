@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 
 namespace kvsim {
 
@@ -37,7 +36,6 @@ void LatencyHistogram::merge(const LatencyHistogram& o) {
   max_ = std::max(max_, o.max_);
 }
 
-void LatencyHistogram::clear() { *this = LatencyHistogram{}; }
 
 TimeNs LatencyHistogram::percentile(double q) const {
   if (count_ == 0) return 0;
@@ -56,17 +54,6 @@ TimeNs LatencyHistogram::percentile(double q) const {
       return std::clamp(bucket_upper(i), min_, max_);
   }
   return max_;
-}
-
-std::string LatencyHistogram::summary() const {
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "n=%llu mean=%s p50=%s p99=%s max=%s",
-                (unsigned long long)count_, format_time_ns(mean()).c_str(),
-                format_time_ns((double)percentile(0.50)).c_str(),
-                format_time_ns((double)percentile(0.99)).c_str(),
-                format_time_ns((double)max_).c_str());
-  return buf;
 }
 
 std::vector<std::pair<TimeNs, u64>> LatencyHistogram::nonzero_buckets() const {

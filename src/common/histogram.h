@@ -2,7 +2,6 @@
 #pragma once
 
 #include <array>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,7 +16,6 @@ class LatencyHistogram {
  public:
   void record(TimeNs latency_ns);
   void merge(const LatencyHistogram& other);
-  void clear();
 
   [[nodiscard]] u64 count() const { return count_; }
   [[nodiscard]] u64 sum() const { return sum_; }
@@ -31,9 +29,6 @@ class LatencyHistogram {
   /// upper bound containing the q-th sample (clamped into [min, max], so
   /// q=0 yields the exact minimum and q=1 the exact maximum).
   [[nodiscard]] TimeNs percentile(double q) const;
-
-  /// One-line summary: "n=... mean=... p50=... p99=... max=..."
-  [[nodiscard]] std::string summary() const;
 
   /// Occupied buckets as (upper_bound_ns, count) pairs in ascending order
   /// (telemetry export; the full distribution minus empty buckets).

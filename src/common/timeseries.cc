@@ -1,7 +1,6 @@
 #include "common/timeseries.h"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace kvsim {
 
@@ -29,18 +28,6 @@ double BandwidthTracker::min_bytes_per_sec() const {
   for (size_t i = 1; i + 1 < windows_.size(); ++i)
     mn = std::min(mn, bytes_per_sec(i));
   return mn;
-}
-
-std::string BandwidthTracker::to_csv() const {
-  std::string out = "time_ms,MiB_per_s\n";
-  char row[64];
-  for (size_t i = 0; i < windows_.size(); ++i) {
-    std::snprintf(row, sizeof(row), "%.1f,%.2f\n",
-                  (double)(i * window_) / (double)kMs,
-                  bytes_per_sec(i) / (double)MiB);
-    out += row;
-  }
-  return out;
 }
 
 }  // namespace kvsim

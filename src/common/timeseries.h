@@ -1,7 +1,6 @@
 // Windowed counters over simulated time: bandwidth / IOPS timelines.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -29,9 +28,6 @@ class BandwidthTracker {
   [[nodiscard]] double min_bytes_per_sec() const;
 
   [[nodiscard]] const std::vector<u64>& raw_windows() const { return windows_; }
-
-  /// Render as "t_ms, MiB/s" CSV rows (for EXPERIMENTS.md plots).
-  [[nodiscard]] std::string to_csv() const;
 
  private:
   TimeNs window_;

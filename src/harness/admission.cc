@@ -2,15 +2,6 @@
 
 namespace kvsim::harness {
 
-const char* to_string(ShedPolicy p) {
-  switch (p) {
-    case ShedPolicy::kRejectNew: return "reject-new";
-    case ShedPolicy::kDeferWithDeadline: return "defer-with-deadline";
-    case ShedPolicy::kDegradeReads: return "degrade-reads";
-  }
-  return "?";
-}
-
 AdmissionController::AdmissionController(const SloSpec& slo) : slo_(slo) {
   ring_.resize(slo_.window ? slo_.window : 1, 0);
 }

@@ -34,8 +34,6 @@ enum class ShedPolicy {
   kDegradeReads,
 };
 
-const char* to_string(ShedPolicy p);
-
 /// One tenant's service-level objective. Default-constructed = disabled:
 /// the runner skips the controller entirely and open-loop arrivals park
 /// in an unbounded backlog (the "unprotected" configuration).

@@ -86,23 +86,6 @@ TraceProfile TraceProfile::fit(KvtReader& reader, u64 head_ops) {
   return p;
 }
 
-WorkloadSpec TraceProfile::to_spec(u64 num_ops, u64 seed) const {
-  WorkloadSpec s;
-  s.num_ops = num_ops;
-  s.key_space = key_space;
-  s.pattern = Pattern::kZipfian;
-  s.zipf_theta = zipf_theta;
-  s.mix = mix;
-  s.seed = seed;
-  u64 sum = 0;
-  for (const u32 v : value_sample) sum += v;
-  s.value_bytes =
-      value_sample.empty() ? 0 : (u32)(sum / value_sample.size());
-  if (s.value_bytes == 0) s.value_bytes = 1;
-  s.scan_length = scan_length ? scan_length : s.scan_length;
-  return s;
-}
-
 SynthFromTraceOpSource::SynthFromTraceOpSource(const TraceProfile& profile,
                                                u64 num_ops, u64 seed)
     : profile_(profile),

@@ -37,12 +37,6 @@ struct TraceProfile {
   static TraceProfile fit(KvtReader& reader, u64 head_ops = 0);
 
   [[nodiscard]] bool ok() const { return ops_fitted > 0; }
-
-  /// Render as a WorkloadSpec (zipfian pattern, fitted theta/mix/space)
-  /// with the given length and seed. Value sizes degrade to the sample
-  /// mean since WorkloadSpec cannot carry an empirical distribution —
-  /// prefer SynthFromTraceOpSource, which samples exactly.
-  [[nodiscard]] WorkloadSpec to_spec(u64 num_ops, u64 seed) const;
 };
 
 /// Generates `num_ops` synthetic operations drawn from a TraceProfile's

@@ -54,14 +54,4 @@ WorkloadSpec ycsb_spec(YcsbWorkload w, u64 record_count, u64 num_ops,
   return spec;
 }
 
-LatestChooser::LatestChooser(u64 initial_records, double theta)
-    : frontier_(initial_records ? initial_records : 1),
-      theta_(theta),
-      zipf_(frontier_, theta) {}
-
-u64 LatestChooser::next(Rng& rng) {
-  const u64 rank = zipf_.next(rng) % frontier_;
-  return frontier_ - 1 - rank;
-}
-
 }  // namespace kvsim::wl

@@ -4,13 +4,12 @@
 //
 // Implements the six core YCSB workloads as WorkloadSpec presets over
 // this repository's op-mix/pattern machinery, including YCSB's "latest"
-// request distribution (skewed toward recently-inserted keys), which the
-// base generator does not need for the paper's own figures.
+// request distribution (Pattern::kLatest: zipfian over recency, skewed
+// toward recently-inserted keys), which the paper's own figures do not
+// use.
 #pragma once
 
 #include "workload/workload.h"
-
-#include "common/thread_annotations.h"
 
 namespace kvsim::wl {
 
@@ -34,30 +33,10 @@ struct YcsbRecordConfig {
 };
 
 /// Build the WorkloadSpec for a core workload over `record_count` records.
-/// Workload D uses Pattern::kLatest (see below); workload E's scans are
+/// Workload D uses Pattern::kLatest; workload E's scans are
 /// approximated as `scan_length` consecutive point reads, which is how a
 /// KV-SSD iterator would serve them.
 WorkloadSpec ycsb_spec(YcsbWorkload w, u64 record_count, u64 num_ops,
                        const YcsbRecordConfig& rec = {}, u64 seed = 42);
-
-/// YCSB's "latest" distribution: zipfian over recency — key ids near the
-/// insertion frontier are hottest. The frontier advances as inserts
-/// happen (the caller reports them).
-class LatestChooser {
- public:
-  KVSIM_THREAD_CONFINED;
-  LatestChooser(u64 initial_records, double theta = 0.99);
-
-  /// Sample a key id in [0, frontier).
-  u64 next(Rng& rng);
-  /// Record that a new key was inserted (frontier grows).
-  void on_insert() { ++frontier_; }
-  [[nodiscard]] u64 frontier() const { return frontier_; }
-
- private:
-  u64 frontier_;
-  double theta_;
-  ZipfGenerator zipf_;
-};
 
 }  // namespace kvsim::wl

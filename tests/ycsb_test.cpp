@@ -59,14 +59,13 @@ TEST(LatestPattern, SkewsTowardNewestKeys) {
   EXPECT_GT(in_top_decile, draws / 2);
 }
 
-TEST(LatestChooser, FrontierAdvances) {
-  LatestChooser lc(1000);
-  Rng rng(9);
-  for (int i = 0; i < 100; ++i) EXPECT_LT(lc.next(rng), 1000u);
-  for (int i = 0; i < 500; ++i) lc.on_insert();
-  EXPECT_EQ(lc.frontier(), 1500u);
+TEST(LatestPattern, FrontierAdvances) {
+  KeyChooser c(Pattern::kLatest, 1000, 9);
+  for (int i = 0; i < 100; ++i) EXPECT_LT(c.next(), 1000u);
+  c.set_space(1500);  // 500 inserts moved the frontier
+  EXPECT_EQ(c.key_space(), 1500u);
   u64 above_old_frontier = 0;
-  for (int i = 0; i < 5000; ++i) above_old_frontier += lc.next(rng) >= 1000;
+  for (int i = 0; i < 5000; ++i) above_old_frontier += c.next() >= 1000;
   EXPECT_GT(above_old_frontier, 1000u);  // new keys are the hot ones
 }
 
