@@ -1,22 +1,26 @@
 #!/usr/bin/env bash
-# Line coverage of src/ under the tier-1 suite.
+# Line coverage of src/ under everything the repository runs.
 #
 # Configures build-coverage/ with gcc's --coverage instrumentation (passed
 # on the CMake command line; there is no CMake option for it), builds,
-# runs ctest there, then runs gcov over every object and prints, for the
-# code under src/:
+# runs ctest there (tier-1, the 14 paper binaries included), then the
+# four extension benches at --smoke and the six examples, all from the
+# build directory. It then runs gcov over every object and prints, for
+# the code under src/:
 #
 #   * line coverage per src/ directory, and in total;
-#   * every src/ function that never ran (name, file and line).
+#   * every src/ function that never ran (name, file and line): code that
+#     nothing in the repository runs.
 #
 # A header's lines count once however many objects include it: a line
 # ran if it ran in any of them. Run it before and after a change to see
 # which code the change made dead or brought into the tests. It reports;
-# it is not a gate, and exits nonzero only if the build or a test fails.
+# it is not a gate, and exits nonzero only if the build, a test, a bench
+# or an example fails.
 #
 # Usage: scripts/coverage.sh [--no-run] [build-dir]
 #   --no-run  report the counters already in build-dir (after running
-#             more binaries from it, say) without rebuilding or re-testing
+#             more binaries from it, say) without rebuilding or re-running
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -26,7 +30,7 @@ BUILD_DIR=build-coverage
 for arg in "$@"; do
   case "$arg" in
     --no-run) RUN=0 ;;
-    -h|--help) sed -n '2,17p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,23p' "$0"; exit 0 ;;
     *) BUILD_DIR="$arg" ;;
   esac
 done
@@ -39,6 +43,16 @@ if [ "$RUN" = 1 ]; then
   # Counters accumulate across runs; start from zero.
   find "$BUILD_DIR" -name '*.gcda' -delete
   (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)" | tail -n 3)
+  (
+    cd "$BUILD_DIR"
+    for b in multitenant overload trace_replay fig_matrix; do
+      bench/bench_$b --smoke >/dev/null
+    done
+    for e in quickstart embedded_sensor_store cache_tier device_explorer \
+             ycsb_runner microbench; do
+      examples/$e >/dev/null
+    done
+  )
 fi
 
 python3 - "$BUILD_DIR" "$PWD" <<'PY'

@@ -34,6 +34,8 @@ BlockFtl::BlockFtl(sim::EventQueue& eq, flash::FlashController& flash,
   rmap_.assign(total_slots, kUnmapped);
   content_.assign(total_slots, 0);
   wps_.resize(cfg_.write_points);
+  for (auto& wp : wps_) add_write_point(wp);
+  add_write_point(gc_wp_);
 #if KVSIM_AUDIT
   map_audit_ = std::make_unique<ssd::SlotMapAudit>(
       geom_.total_blocks(), geom_.pages_per_block * slots_per_page());
@@ -88,12 +90,11 @@ void BlockFtl::write(Lba lba, u32 bytes, u64 fp_base, Done done) {
   const TimeNs cpu_done =
       cpu_.reserve(eq_.now(), dispatch_ns_ + (TimeNs)n * per_slot);
 
-  auto join = ssd::make_join(
-      2, [this, first, n, fp_base, seq, done = std::move(done)]() mutable {
-        for (u32 i = 0; i < n; ++i)
-          write_slot(first + i, mix64(fp_base + i), seq);
-        done(Status::kOk);
-      });
+  auto join = sim::make_join(2, [this, first, n, fp_base, seq,
+                                 done = std::move(done)](Status) mutable {
+    for (u32 i = 0; i < n; ++i) write_slot(first + i, mix64(fp_base + i), seq);
+    done(Status::kOk);
+  });
   buffer_.acquire((u64)n * lp, [join] { join->arrive(); });
   eq_.schedule_at(cpu_done, [join] { join->arrive(); });
   // Sub-slot merges read the old page in the background (the write acks
@@ -112,7 +113,7 @@ void BlockFtl::write_slot(u64 lpn, u64 fp, bool seq) {
   WritePoint* wpp;
   if (seq) {
     wpp = &wps_[seq_wp_];
-    if (wpp->pending.size() + 1 == slots_per_page())
+    if (wpp->used + 1 == slots_per_page())
       seq_wp_ = (seq_wp_ + 1) % wps_.size();
   } else {
     wpp = &wps_[wp_rr_];
@@ -145,9 +146,9 @@ void BlockFtl::drop_starved_writes(u64 first, u64 end) {
 bool BlockFtl::append_slot(WritePoint& wp, u64 lpn, u64 fp, bool seq,
                            bool is_gc) {
   if (!ensure_block(wp, is_gc)) return false;
-  invalidate(lpn, /*fresh_garbage=*/!is_gc);
+  invalidate(lpn, /*by_host=*/!is_gc);
   const flash::PageId page = geom_.page_id(*wp.block, wp.next_page);
-  const u32 slot = (u32)wp.pending.size();
+  const u32 slot = wp.used;
   const u64 gsi = slot_index(page, slot);
   map_[lpn] = gsi;
   rmap_[gsi] = lpn;
@@ -157,10 +158,9 @@ bool BlockFtl::append_slot(WritePoint& wp, u64 lpn, u64 fp, bool seq,
     wp.staged.push_back(flash::OobEntry{lpn, fp, slot, ++write_seq_});
   ++valid_units_[*wp.block];
   ++live_slots_;
-  if (wp.pending.empty()) mark_buffered(page);
-  wp.pending.push_back(lpn);
-  wp.all_seq = wp.all_seq && seq;
-  if (wp.pending.size() == slots_per_page()) {
+  wp.all_seq = (slot == 0 || wp.all_seq) && seq;
+  fill_open_page(wp, 1, is_gc ? 0 : cfg_.logical_page_bytes);
+  if (wp.used == slots_per_page()) {
     seal_page(wp, is_gc);
   } else if (!is_gc) {
     arm_flush_timer(wp);
@@ -169,39 +169,23 @@ bool BlockFtl::append_slot(WritePoint& wp, u64 lpn, u64 fp, bool seq,
 }
 
 void BlockFtl::seal_page(WritePoint& wp, bool is_gc) {
-  const u64 host_bytes =
-      is_gc ? 0 : (u64)wp.pending.size() * cfg_.logical_page_bytes;
-  const bool reorg = !wp.all_seq && !is_gc;
-  wp.pending.clear();
-  wp.all_seq = true;
   ++wp.last_flush_arm;  // cancel any pending flush timer
-  const flash::PageId page = seal_open_page(wp);
   // Random-write coalescing: the firmware CPU spends time rearranging the
   // page before it is dispatched (the paper's "block-SSD holds data in
-  // buffer much longer" behavior). A later page of the same block must
-  // never overtake a delayed reorg'd one — NAND programs within a block
-  // are in page order — so issues are serialized behind last_issue_at.
-  const TimeNs ready =
-      reorg ? cpu_.reserve(eq_.now(), cfg_.reorg_per_page_ns) : eq_.now();
-  const TimeNs issue_at = std::max(ready, wp.last_issue_at);
-  wp.last_issue_at = issue_at;
-  if (issue_at > eq_.now()) {
-    eq_.schedule_at(issue_at, [this, page, host_bytes] {
-      program_page(page, host_bytes);
-    });
-  } else {
-    program_page(page, host_bytes);
-  }
+  // buffer much longer" behavior).
+  const bool reorg = !wp.all_seq && !is_gc;
+  seal_open_page(wp, reorg ? cpu_.reserve(eq_.now(), cfg_.reorg_per_page_ns)
+                           : eq_.now());
 }
 
 void BlockFtl::arm_flush_timer(WritePoint& wp) {
   const u64 arm = ++wp.last_flush_arm;
   eq_.schedule_after(cfg_.partial_flush_ns, [this, &wp, arm] {
-    if (wp.last_flush_arm == arm && !wp.pending.empty()) seal_page(wp, false);
+    if (wp.last_flush_arm == arm && wp.used != 0) seal_page(wp, false);
   });
 }
 
-void BlockFtl::invalidate(u64 lpn, bool fresh_garbage) {
+void BlockFtl::invalidate(u64 lpn, bool by_host) {
   const u64 old = map_[lpn];
   if (old == kUnmapped) return;
   if (map_audit_) map_audit_->on_unmap(lpn, old);
@@ -209,10 +193,7 @@ void BlockFtl::invalidate(u64 lpn, bool fresh_garbage) {
   rmap_[old] = kUnmapped;
   --valid_units_[old / slots_per_page() / geom_.pages_per_block];
   --live_slots_;
-  if (fresh_garbage) {  // GC can make progress again
-    gc_stuck_ = false;
-    gc_futile_streak_ = 0;
-  }
+  if (by_host) fresh_garbage();
 }
 
 // ---------------------------------------------------------------------------
@@ -321,7 +302,7 @@ void BlockFtl::trim(Lba lba, u64 bytes, Done done) {
   const u64 first = (start + lp - 1) / lp;        // first fully-covered slot
   const u64 last_excl = std::min(end / lp, (u64)map_.size());
   for (u64 lpn = first; lpn < last_excl; ++lpn)
-    invalidate(lpn, /*fresh_garbage=*/true);
+    invalidate(lpn, /*by_host=*/true);
   // A relocated slot waiting for a block is trimmed too, or a freed block
   // would bring its data back.
   std::erase_if(recovery_starved_, [&](const Starved& s) {
@@ -336,8 +317,8 @@ void BlockFtl::trim(Lba lba, u64 bytes, Done done) {
 void BlockFtl::flush(sim::Task done) {
   audit_verify();
   for (auto& wp : wps_)
-    if (!wp.pending.empty()) seal_page(wp, false);
-  if (!gc_wp_.pending.empty()) seal_page(gc_wp_, true);
+    if (wp.used != 0) seal_page(wp, false);
+  if (gc_wp_.used != 0) seal_page(gc_wp_, true);
   drain(std::move(done));
 }
 
@@ -528,39 +509,10 @@ void BlockFtl::relocate_page(flash::PageId p) {
       // No block anywhere (even the reserve is gone): hold the rebuilt
       // slot in the recovery queue. Unmapping now keeps the map honest —
       // a queued slot is firmware state, not flash state.
-      invalidate(lpn, /*fresh_garbage=*/false);
+      invalidate(lpn, /*by_host=*/false);
       recovery_starved_.push_back(Starved{lpn, fp, false});
     }
   }
-}
-
-void BlockFtl::close_open_page(flash::BlockId b) {
-  for (auto& wp : wps_) close_write_point(wp, b);
-  close_write_point(gc_wp_, b);
-}
-
-void BlockFtl::close_write_point(WritePoint& wp, flash::BlockId b) {
-  if (!wp.block || *wp.block != b) return;
-  const flash::PageId open_page = geom_.page_id(b, wp.next_page);
-  const u32 npend = (u32)wp.pending.size();
-  std::vector<Starved> pend;
-  pend.reserve(npend);
-  for (u32 s = 0; s < npend; ++s) {
-    const u64 gsi = slot_index(open_page, s);
-    const u64 lpn = rmap_[gsi];
-    if (lpn == kUnmapped) continue;  // overwritten while buffered
-    pend.push_back(Starved{lpn, content_[gsi], false});
-    // The open page will never program; its mapping must not outlive the
-    // close, or a later read would touch unwritten flash.
-    invalidate(lpn, /*fresh_garbage=*/false);
-  }
-  drop_open_page(wp, &wp == &gc_wp_ ? 0 : (u64)npend * cfg_.logical_page_bytes);
-  wp.pending.clear();
-  wp.all_seq = true;
-  ++wp.last_flush_arm;  // cancel any pending flush timer
-  for (const Starved& s : pend)
-    if (!append_slot(gc_wp_, s.lpn, s.fp, false, /*is_gc=*/true))
-      recovery_starved_.push_back(s);
 }
 
 }  // namespace kvsim::blockftl

@@ -136,9 +136,8 @@ class BlockFtl final : public ssd::FtlCore {
   // they match the page's physical contents even if a slot is invalidated
   // while buffered.
   struct WritePoint : ssd::WritePoint {
-    std::vector<u64> pending;   // lpns buffered for the open page
-    bool all_seq = true;        // every buffered slot arrived in a seq run
-    u64 last_flush_arm = 0;     // generation counter for the flush timer
+    bool all_seq = true;          // every slot of the open page arrived seq
+    u64 last_flush_arm = 0;       // generation counter for the flush timer
     std::deque<Starved> starved;  // host slots waiting for a free block
   };
 
@@ -156,10 +155,10 @@ class BlockFtl final : public ssd::FtlCore {
   bool append_slot(WritePoint& wp, u64 lpn, u64 fp, bool seq, bool is_gc);
   void seal_page(WritePoint& wp, bool is_gc);
   void arm_flush_timer(WritePoint& wp);
-  /// Unmap `lpn`'s current slot. `fresh_garbage` marks invalidations
-  /// caused by host overwrites/TRIM (which make GC productive again), as
-  /// opposed to GC's own relocations.
-  void invalidate(u64 lpn, bool fresh_garbage);
+  /// Unmap `lpn`'s current slot. `by_host` marks invalidations caused by
+  /// host overwrites/TRIM (fresh garbage, which makes GC productive
+  /// again), as opposed to GC's own relocations.
+  void invalidate(u64 lpn, bool by_host);
 
   // --- read path ---
   /// A host read in flight: the join of its firmware-CPU slot and its
@@ -189,14 +188,10 @@ class BlockFtl final : public ssd::FtlCore {
   void gc_migrate(flash::BlockId victim) override;
   bool gc_cycle_futile(bool) override { return false; }
   void on_block_freed() override;
-  /// Close any write point still filling `b`; its buffered slots re-route
-  /// through the GC write point.
-  void close_open_page(flash::BlockId b) override;
   /// Remap every live slot of page `p` onto a fresh block (media scrub /
-  /// failed-program re-drive). Slots that find no block wait in
-  /// recovery_starved_.
+  /// failed-program re-drive / a retired block's open page). Slots that
+  /// find no block wait in recovery_starved_.
   void relocate_page(flash::PageId p) override;
-  void close_write_point(WritePoint& wp, flash::BlockId b);
 
   BlockFtlConfig cfg_;
   sim::Resource cpu_;  // serialized firmware CPU

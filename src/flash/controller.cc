@@ -1,20 +1,8 @@
 #include "flash/controller.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace kvsim::flash {
-
-const char* to_string(OpStatus s) {
-  switch (s) {
-    case OpStatus::kOk: return "ok";
-    case OpStatus::kTimeout: return "timeout";
-    case OpStatus::kProgramFail: return "program-fail";
-    case OpStatus::kEraseFail: return "erase-fail";
-    case OpStatus::kUncorrectable: return "uncorrectable";
-  }
-  return "unknown";
-}
 
 FlashController::FlashController(sim::EventQueue& eq,
                                  const FlashGeometry& geom,
@@ -69,54 +57,37 @@ FlashController::OpCharge FlashController::charge_read(PageId p, u32 bytes) {
   return {xfer.done, apply_deadline(st, xfer.done)};
 }
 
-FlashController::OpCharge FlashController::charge_program(PageId first,
-                                                          u32 count,
-                                                          u32 bytes_per_page) {
-  const u64 die = geom_.die_of_page(first);
-  const u32 ch = geom_.channel_of_page(first);
-  // A multi-plane program is one die-level command: every page must live
-  // on `first`'s die, or the single tPROG/die reservation below would
-  // silently mis-time pages belonging to other dies. (Audit note: the
-  // block FTL's sequential write path programs one sealed page at a time
-  // via program_page, so it can never violate this; the invariant guards
-  // future multi-plane callers.)
-  if (count == 0)
-    throw std::invalid_argument("program_multi: count must be >= 1");
-  if (geom_.die_of_page(first + count - 1) != die)
-    throw std::invalid_argument(
-        "program_multi: page run crosses a die boundary");
-  if (audit_) audit_->on_program(first, count);
+FlashController::OpCharge FlashController::charge_program(PageId p,
+                                                          u32 bytes) {
+  if (audit_) audit_->on_program(p);
   OpStatus st = OpStatus::kOk;
   TimeNs stall_ns = 0;
   if (faults_ != nullptr) {
-    const ProgramFault f = faults_->on_program(first, count);
+    const ProgramFault f = faults_->on_program(p);
     if (f.fail) st = OpStatus::kProgramFail;
     stall_ns = f.stall_ns;
   }
-  const sim::Resource::Grant xfer = channels_[ch].reserve(
-      eq_.now(), timing_.transfer_ns((u64)bytes_per_page * count));
-  const sim::Resource::Grant prog =
-      dies_[die].reserve(xfer.done, timing_.program_page_ns + stall_ns);
+  const sim::Resource::Grant xfer = channels_[geom_.channel_of_page(p)].reserve(
+      eq_.now(), timing_.transfer_ns(bytes));
+  const sim::Resource::Grant prog = dies_[geom_.die_of_page(p)].reserve(
+      xfer.done, timing_.program_page_ns + stall_ns);
   program_stages_.channel_wait.record(xfer.wait);
   program_stages_.transfer.record(xfer.service);
   program_stages_.die_wait.record(prog.wait);
   program_stages_.die_service.record(prog.service);
   program_stages_.total.record(prog.done - eq_.now());
-  stats_.page_programs += count;
-  stats_.bytes_programmed += (u64)bytes_per_page * count;
+  ++stats_.page_programs;
+  stats_.bytes_programmed += bytes;
   if (oob_on_) {
     // Commit staged OOB at issue time (synchronously — no extra events,
-    // so crash-free event streams are identical with tracking on). The
-    // epoch is per page even within a multi-plane program; durability is
-    // the shared tPROG completion. Failed programs leave no readable OOB
-    // (the FTL re-drives the data elsewhere), and pages with nothing
-    // staged (the KV FTL's abstract index-charge traffic) commit nothing.
-    for (u32 i = 0; i < count; ++i) {
-      auto it = staged_oob_.find(first + i);
-      if (it == staged_oob_.end()) continue;
+    // so crash-free event streams are identical with tracking on).
+    // Failed programs leave no readable OOB (the FTL re-drives the data
+    // elsewhere), and pages with nothing staged (the KV FTL's abstract
+    // index-charge traffic) commit nothing.
+    auto it = staged_oob_.find(p);
+    if (it != staged_oob_.end()) {
       if (st != OpStatus::kProgramFail)
-        oob_[first + i] =
-            PageOob{oob_epoch_++, prog.done, std::move(it->second)};
+        oob_[p] = PageOob{oob_epoch_++, prog.done, std::move(it->second)};
       staged_oob_.erase(it);
     }
   }

@@ -8,17 +8,13 @@
 // Contention (queueing on a busy die or channel) emerges from the
 // next-free-time reservation; operations from independent dies overlap.
 //
-// A "multi-plane" program hook programs several pages of the same die with
-// one tPROG (used by multi-plane-aware FTL write paths). All pages of one
-// multi-plane program MUST share a die (and hence a channel); the
-// controller rejects calls that cross a die boundary.
-//
-// Completion batching: multi-page operations (program_multi, read_multi)
-// schedule ONE completion event per call — at the completion time of the
-// slowest page — instead of one event per page. Per-page timing is still
-// charged page by page in issue order (reservation order, retry draws,
-// stats, and stage-breakdown samples are identical to issuing the pages
-// individually); only the number of event-queue entries shrinks.
+// Every program and erase is one page or block per command. Completion
+// batching: a multi-page read (read_multi) schedules ONE completion event
+// per call — at the completion time of the slowest page — instead of one
+// event per page. Per-page timing is still charged page by page in issue
+// order (reservation order, retry draws, stats, and stage-breakdown
+// samples are identical to issuing the pages individually); only the
+// number of event-queue entries shrinks.
 //
 // Every operation records a stage-breakdown into per-op-type latency
 // histograms (die wait vs. die service vs. channel wait vs. transfer), the
@@ -114,7 +110,7 @@ class FlashAuditSink {
  public:
   virtual ~FlashAuditSink() = default;
   virtual void on_read(PageId p, u32 bytes) = 0;
-  virtual void on_program(PageId first, u32 count) = 0;
+  virtual void on_program(PageId p) = 0;
   virtual void on_erase(BlockId b) = 0;
 };
 
@@ -178,17 +174,7 @@ class FlashController {
   /// Program a full page holding `bytes` of payload.
   template <typename F>
   void program_page(PageId p, u32 bytes, F&& done) {
-    program_multi(p, 1, bytes, std::forward<F>(done));
-  }
-
-  /// Program `count` pages on the same die with a single tPROG
-  /// (multi-plane). Transfers still serialize on the channel. Throws
-  /// std::invalid_argument when count is zero or the page run crosses a
-  /// die boundary (which would silently mis-time the program).
-  template <typename F>
-  void program_multi(PageId first, u32 count, u32 bytes_per_page, F&& done) {
-    complete_one(charge_program(first, count, bytes_per_page),
-                 std::forward<F>(done));
+    complete_one(charge_program(p, bytes), std::forward<F>(done));
   }
 
   /// Erase a block.
@@ -210,12 +196,6 @@ class FlashController {
   }
   [[nodiscard]] const StageBreakdown& erase_stages() const {
     return erase_stages_;
-  }
-
-  /// Earliest time the die owning page `p` frees up (for schedulers that
-  /// prefer idle dies).
-  [[nodiscard]] TimeNs die_free_at(u64 die) const {
-    return dies_[die].free_at();
   }
 
   // --- utilization telemetry ---------------------------------------------
@@ -288,7 +268,7 @@ class FlashController {
   /// stage samples) and return its completion time and fault outcome
   /// without scheduling.
   OpCharge charge_read(PageId p, u32 bytes);
-  OpCharge charge_program(PageId first, u32 count, u32 bytes_per_page);
+  OpCharge charge_program(PageId p, u32 bytes);
   OpCharge charge_erase(BlockId b);
 
   /// Stamp the op's deadline verdict onto an otherwise-ok charge.

@@ -32,8 +32,6 @@ enum class OpStatus : u8 {
   kUncorrectable,   ///< read failed ECC hard-decode after retry exhaustion
 };
 
-[[nodiscard]] const char* to_string(OpStatus s);
-
 /// Fault decision for one page read.
 struct ReadFault {
   u32 extra_retry_rounds = 0;  ///< injected ECC retry rounds (latency)
@@ -41,7 +39,7 @@ struct ReadFault {
   TimeNs stall_ns = 0;         ///< transient die stall added to array time
 };
 
-/// Fault decision for one (multi-plane) page program.
+/// Fault decision for one page program.
 struct ProgramFault {
   bool fail = false;
   TimeNs stall_ns = 0;
@@ -60,7 +58,7 @@ class FaultModel {
  public:
   virtual ~FaultModel() = default;
   virtual ReadFault on_read(PageId p) = 0;
-  virtual ProgramFault on_program(PageId first, u32 count) = 0;
+  virtual ProgramFault on_program(PageId p) = 0;
   virtual EraseFault on_erase(BlockId b) = 0;
   /// End-to-end latency deadline: a command completing later than
   /// issue + deadline reports OpStatus::kTimeout (0 disables).

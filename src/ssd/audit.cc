@@ -41,15 +41,10 @@ void FlashAudit::on_read(flash::PageId p, u32 bytes) {
                    " pages programmed since erase)");
 }
 
-void FlashAudit::on_program(flash::PageId first, u32 count) {
-  const flash::BlockId b = geom_.block_of_page(first);
+void FlashAudit::on_program(flash::PageId p) {
+  const flash::BlockId b = geom_.block_of_page(p);
   if (exempt_[b]) return;
-  const u32 page = geom_.page_in_block(first);
-  if (page + count > geom_.pages_per_block)
-    audit_fail("flash", "program run crosses a block boundary (block " +
-                            std::to_string(b) + ", page " +
-                            std::to_string(page) + ", count " +
-                            std::to_string(count) + ")");
+  const u32 page = geom_.page_in_block(p);
   if (page < next_page_[b])
     audit_fail("flash", "reprogram of page " + std::to_string(page) +
                             " of block " + std::to_string(b) +
@@ -59,7 +54,7 @@ void FlashAudit::on_program(flash::PageId first, u32 count) {
                             " expected page " +
                             std::to_string(next_page_[b]) + ", got page " +
                             std::to_string(page));
-  next_page_[b] = page + count;
+  next_page_[b] = page + 1;
 }
 
 void FlashAudit::on_erase(flash::BlockId b) { next_page_[b] = 0; }

@@ -77,7 +77,7 @@ class FlashAudit final : public flash::FlashAuditSink {
   [[nodiscard]] u32 programmed_pages(flash::BlockId b) const { return next_page_[b]; }
 
   void on_read(flash::PageId p, u32 bytes) override;
-  void on_program(flash::PageId first, u32 count) override;
+  void on_program(flash::PageId p) override;
   void on_erase(flash::BlockId b) override;
 
  private:

@@ -74,8 +74,7 @@ flash::ReadFault FaultInjector::on_read(flash::PageId p) {
   return f;
 }
 
-flash::ProgramFault FaultInjector::on_program(flash::PageId first,
-                                              u32 count) {
+flash::ProgramFault FaultInjector::on_program(flash::PageId) {
   flash::ProgramFault f;
   maybe_stall(f.stall_ns);
   if (plan_.program_fail_prob > 0.0 &&
@@ -83,8 +82,6 @@ flash::ProgramFault FaultInjector::on_program(flash::PageId first,
     f.fail = true;
     ++stats_.program_fails;
   }
-  (void)first;
-  (void)count;
   return f;
 }
 

@@ -99,7 +99,7 @@ class FaultInjector final : public flash::FaultModel {
 
   // flash::FaultModel
   flash::ReadFault on_read(flash::PageId p) override;
-  flash::ProgramFault on_program(flash::PageId first, u32 count) override;
+  flash::ProgramFault on_program(flash::PageId p) override;
   flash::EraseFault on_erase(flash::BlockId b) override;
   [[nodiscard]] TimeNs op_deadline_ns() const override {
     return plan_.op_timeout_ns;

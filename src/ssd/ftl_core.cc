@@ -85,18 +85,29 @@ bool FtlCore::ensure_block(WritePoint& wp, bool is_gc) {
   return true;
 }
 
-flash::PageId FtlCore::seal_open_page(WritePoint& wp) {
+void FtlCore::seal_open_page(WritePoint& wp, TimeNs ready) {
   const flash::PageId page = geom_.page_id(*wp.block, wp.next_page);
+  const u64 host_bytes = wp.host_bytes;
+  wp.used = 0;
+  wp.host_bytes = 0;
   if (crash_tracking_) {
     flash_.stage_oob(page, std::move(wp.staged));
     wp.staged.clear();
   }
+  const TimeNs issue_at = std::max(ready, wp.last_issue_at);
+  wp.last_issue_at = issue_at;
   if (++wp.next_page == geom_.pages_per_block) {
     set_block_state(*wp.block, BlockState::kSealed);
     wp.block.reset();
   }
   count_program();
-  return page;
+  if (issue_at > eq_.now()) {
+    eq_.schedule_at(issue_at, [this, page, host_bytes] {
+      program_page(page, host_bytes);
+    });
+  } else {
+    program_page(page, host_bytes);
+  }
 }
 
 void FtlCore::program_page(flash::PageId page, u64 host_bytes) {
@@ -120,16 +131,18 @@ void FtlCore::program_done() {
   }
 }
 
-flash::PageId FtlCore::drop_open_page(WritePoint& wp, u64 host_bytes) {
+flash::PageId FtlCore::drop_open_page(WritePoint& wp) {
   const flash::BlockId b = *wp.block;
   const flash::PageId page = geom_.page_id(b, wp.next_page);
-  if (buffered_pages_[page]) {
+  if (wp.used != 0) {
     buffered_pages_[page] = 0;
     --buffered_count_[b];
     // Host units of the aborted page free their buffer space here; their
     // re-driven copies ride the recovery path, which never re-acquires.
-    if (host_bytes != 0) buffer_.release(host_bytes);
+    if (wp.host_bytes != 0) buffer_.release(wp.host_bytes);
   }
+  wp.used = 0;
+  wp.host_bytes = 0;
   wp.staged.clear();
   wp.block.reset();
   return page;
@@ -171,7 +184,7 @@ void FtlCore::run_gc() {
     }
   }
   if (free_wins.size() > 1) {
-    auto join = make_join((int)free_wins.size(), [this] {
+    auto join = sim::make_join((int)free_wins.size(), [this](Status) {
       on_block_freed();
       continue_gc(/*wave=*/true);
     });
@@ -281,7 +294,11 @@ void FtlCore::on_program_fail(flash::PageId page) {
 
 void FtlCore::retire_block(flash::BlockId b) {
   if (block_state_[b] == BlockState::kBad) return;
-  close_open_page(b);
+  // The open page of the point still filling `b` will never program:
+  // re-place its units once the point has let go of the block, so that
+  // placement cannot target it again.
+  for (WritePoint* wp : write_points_)
+    if (wp->block == b) relocate_page(drop_open_page(*wp));
   set_block_state(b, BlockState::kBad);
   ++stats_.grown_bad_blocks;
   // Not released to the allocator: the block is dead capacity.
@@ -350,7 +367,9 @@ u64 FtlCore::mount(const PowerCut& cut, u32 scan_bytes, TimeNs cpu_done,
             [](const flash::PageRead& a, const flash::PageRead& b) {
               return a.page < b.page;
             });
-  auto join = make_join((scan.empty() ? 0 : 1) + 1, std::move(done));
+  auto join = sim::make_join(
+      (scan.empty() ? 0 : 1) + 1,
+      [done = std::move(done)](Status) mutable { done(); });
   eq_.schedule_at(cpu_done, [join] { join->arrive(); });
   if (!scan.empty())
     flash_.read_multi(scan.data(), (u32)scan.size(),

@@ -2,9 +2,10 @@
 //
 // The paper flashes one PM983 with two firmwares. BlockFtl and KvFtl derive
 // from FtlCore, which owns what they share: block states, allocation and the
-// GC reserve, the write buffer, page programs and flush's drain, the GC
-// driver, bad-block retirement, fault injection and the mount's block
-// rebuild. Each FTL plugs in its mapping unit through the hooks below.
+// GC reserve, the write buffer, the write points' open pages, page programs
+// and flush's drain, the GC driver, bad-block retirement, fault injection
+// and the mount's block rebuild. Each FTL plugs in its mapping unit through
+// the hooks below.
 #pragma once
 
 #include <memory>
@@ -15,6 +16,7 @@
 #include "common/thread_annotations.h"
 #include "flash/controller.h"
 #include "sim/event_queue.h"
+#include "sim/join.h"
 #include "ssd/allocator.h"
 #include "ssd/audit.h"
 #include "ssd/config.h"
@@ -23,19 +25,6 @@
 #include "ssd/write_buffer.h"
 
 namespace kvsim::ssd {
-
-/// Countdown latch: runs `then` after `remaining` arrivals.
-struct Join {
-  int remaining;
-  sim::Task then;
-  void arrive() {
-    if (--remaining == 0) then();
-  }
-};
-using JoinPtr = std::shared_ptr<Join>;
-inline JoinPtr make_join(int n, sim::Task then) {
-  return std::make_shared<Join>(Join{n, std::move(then)});
-}
 
 /// Lifecycle state of one flash block. kIndexBlock holds the KV FTL's index
 /// log. kBad is a grown bad block, retired after a program or erase failure:
@@ -57,11 +46,14 @@ enum class BlockState : u8 {
 /// FtlCore::set_block_state checks every change but the mount rebuild's.
 void audit_block_transition(flash::BlockId b, BlockState from, BlockState to);
 
-/// An open log head: the block it fills, its open page, and that page's OOB
-/// records staged for the seal. Each FTL extends it with its own buffering.
+/// An open log head: the block it fills and its open page, with that
+/// page's units, the write-buffer bytes they hold and their OOB records
+/// staged for the seal.
 struct WritePoint {
   std::optional<flash::BlockId> block;
   u32 next_page = 0;         ///< next page index inside `block`
+  u32 used = 0;              ///< units in the open page
+  u64 host_bytes = 0;        ///< write-buffer bytes the open page holds
   TimeNs last_issue_at = 0;  ///< latest program issue time in `block`
   std::vector<flash::OobEntry> staged;
 };
@@ -114,10 +106,13 @@ class FtlCore {
   virtual void on_block_erased(flash::BlockId) {}
   /// A block returned to the free pool: re-place writes waiting for one.
   virtual void on_block_freed() = 0;
-  /// `b` is being retired: close any write point still filling it.
-  virtual void close_open_page(flash::BlockId b) = 0;
-  /// Re-place every live unit of page `p` (media scrub, failed program).
+  /// Re-place every live unit of page `p` (media scrub, failed program,
+  /// the open page of a retired block).
   virtual void relocate_page(flash::PageId p) = 0;
+
+  /// List a write point, once, at construction: retiring a block drops
+  /// the open page of the point still filling it.
+  void add_write_point(WritePoint& wp) { write_points_.push_back(&wp); }
 
   /// Every block-state change goes through here. Only the mount rebuild
   /// (`mount`), which seals or frees blocks whatever their state, skips
@@ -126,26 +121,29 @@ class FtlCore {
   /// Give `wp` a fresh block if it has none; false when none is left for it.
   /// Host points leave the GC reserve alone and may start background GC.
   bool ensure_block(WritePoint& wp, bool is_gc);
-  /// The first unit landed in `page`: it is buffered until its program.
-  void mark_buffered(flash::PageId page) {
-    buffered_pages_[page] = 1;
-    ++buffered_count_[geom_.block_of_page(page)];
+  /// Add `units` holding `host_bytes` of write buffer to `wp`'s open page.
+  /// The page's first unit marks it buffered until its program.
+  void fill_open_page(WritePoint& wp, u32 units, u64 host_bytes) {
+    if (wp.used == 0) {
+      const flash::PageId page = geom_.page_id(*wp.block, wp.next_page);
+      buffered_pages_[page] = 1;
+      ++buffered_count_[geom_.block_of_page(page)];
+    }
+    wp.used += units;
+    wp.host_bytes += host_bytes;
   }
   /// Seal `wp`'s open page: stage its OOB, advance, seal a full block and
-  /// count the program. Returns the page.
-  flash::PageId seal_open_page(WritePoint& wp);
-  /// Program a sealed page. Completion unbuffers it, releases `host_bytes`
-  /// of write buffer, recovers a failed program and wakes drain waiters.
-  void program_page(flash::PageId page, u64 host_bytes);
+  /// issue the program at `ready`, or later if an earlier page of the
+  /// block issues later (NAND programs a block's pages in order); inline
+  /// when that is now. Completion unbuffers the page, releases its write
+  /// buffer, recovers a failed program and wakes drain waiters.
+  void seal_open_page(WritePoint& wp, TimeNs ready);
   /// Other programs (KV's index log) count toward the drain as well.
   void count_program() {
     stats_.flash_bytes_written += geom_.page_bytes;
     ++outstanding_programs_;
   }
   void program_done();
-  /// Abandon `wp`'s open page, which will never program: unbuffer it, free
-  /// `host_bytes` of write buffer and let go of the block. Returns the page.
-  flash::PageId drop_open_page(WritePoint& wp, u64 host_bytes);
   /// Run `done` once no counted program is outstanding.
   void drain(sim::Task done);
 
@@ -154,11 +152,16 @@ class FtlCore {
     ++stats_.gc_foreground_runs;
     if (!gc_running_ && !gc_stuck_) run_gc();
   }
+  /// A host overwrite, delete or TRIM made garbage: GC that stopped as
+  /// futile can make progress again.
+  void fresh_garbage() {
+    gc_stuck_ = false;
+    gc_futile_streak_ = 0;
+  }
 
-  /// True, counting a busy rejection, inside a stall-induced busy window.
-  [[nodiscard]] bool host_busy();
-  /// Inside a busy window, answer `done` kDeviceBusy (with `extra` results)
-  /// after the dispatch time and return true.
+  /// Inside a stall-induced busy window, count a busy rejection, answer
+  /// `done` kDeviceBusy (with `extra` results) after the dispatch time and
+  /// return true.
   template <typename Done, typename... Extra>
   bool busy_rejected(Done& done, Extra... extra) {
     if (!host_busy()) return false;
@@ -219,6 +222,11 @@ class FtlCore {
   FtlStats stats_;
 
  private:
+  [[nodiscard]] bool host_busy();
+  void program_page(flash::PageId page, u64 host_bytes);
+  /// Abandon `wp`'s open page, which will never program: unbuffer it, free
+  /// its write buffer and let go of the block. Returns the page.
+  flash::PageId drop_open_page(WritePoint& wp);
   void maybe_start_gc();
   void run_gc();
   void finish_gc(flash::BlockId victim);
@@ -229,6 +237,8 @@ class FtlCore {
   void on_program_fail(flash::PageId page);
   void retire_block(flash::BlockId b);
   void retire_erase_failed(flash::BlockId b);
+
+  std::vector<WritePoint*> write_points_;  // every FTL write point
 };
 
 }  // namespace kvsim::ssd

@@ -38,43 +38,37 @@ flash::FlashGeometry tiny_geom() {
 TEST(FlashAudit, InOrderProgramEraseCycleIsLegal) {
   ssd::FlashAudit a(tiny_geom());
   const auto g = tiny_geom();
-  a.on_program(g.page_id(3, 0), 1);
-  a.on_program(g.page_id(3, 1), 2);  // multi-page run
+  a.on_program(g.page_id(3, 0));
+  a.on_program(g.page_id(3, 1));
+  a.on_program(g.page_id(3, 2));
   a.on_read(g.page_id(3, 2), 4096);
   EXPECT_EQ(a.programmed_pages(3), 3u);
   a.on_erase(3);
   EXPECT_EQ(a.programmed_pages(3), 0u);
-  a.on_program(g.page_id(3, 0), 1);  // reuse after erase is fine
+  a.on_program(g.page_id(3, 0));  // reuse after erase is fine
 }
 
 TEST(FlashAudit, DetectsReprogramWithoutErase) {
   ssd::FlashAudit a(tiny_geom());
   const auto g = tiny_geom();
-  a.on_program(g.page_id(5, 0), 1);
-  EXPECT_THROW(a.on_program(g.page_id(5, 0), 1), ssd::AuditFailure);
+  a.on_program(g.page_id(5, 0));
+  EXPECT_THROW(a.on_program(g.page_id(5, 0)), ssd::AuditFailure);
 }
 
 TEST(FlashAudit, DetectsOutOfOrderProgram) {
   ssd::FlashAudit a(tiny_geom());
   const auto g = tiny_geom();
-  a.on_program(g.page_id(5, 0), 1);
-  EXPECT_THROW(a.on_program(g.page_id(5, 2), 1), ssd::AuditFailure);
+  a.on_program(g.page_id(5, 0));
+  EXPECT_THROW(a.on_program(g.page_id(5, 2)), ssd::AuditFailure);
 }
 
 TEST(FlashAudit, DetectsReadOfErasedPage) {
   ssd::FlashAudit a(tiny_geom());
   const auto g = tiny_geom();
   EXPECT_THROW(a.on_read(g.page_id(7, 0), 4096), ssd::AuditFailure);
-  a.on_program(g.page_id(7, 0), 1);
+  a.on_program(g.page_id(7, 0));
   a.on_read(g.page_id(7, 0), 4096);  // now legal
   EXPECT_THROW(a.on_read(g.page_id(7, 1), 4096), ssd::AuditFailure);
-}
-
-TEST(FlashAudit, DetectsProgramRunCrossingBlockBoundary) {
-  ssd::FlashAudit a(tiny_geom());
-  const auto g = tiny_geom();
-  EXPECT_THROW(a.on_program(g.page_id(0, g.pages_per_block - 1), 2),
-               ssd::AuditFailure);
 }
 
 TEST(FlashAudit, ExemptBlocksSkipLegality) {
@@ -85,8 +79,8 @@ TEST(FlashAudit, ExemptBlocksSkipLegality) {
   // Index-charge traffic: reads of never-programmed pages and round-robin
   // reprograms are the model, not a bug.
   a.on_read(g.page_id(4, 3), 4096);
-  a.on_program(g.page_id(4, 2), 1);
-  a.on_program(g.page_id(4, 2), 1);
+  a.on_program(g.page_id(4, 2));
+  a.on_program(g.page_id(4, 2));
   a.set_exempt(4, false);
   EXPECT_THROW(a.on_read(g.page_id(4, 3), 4096), ssd::AuditFailure);
 }

@@ -529,9 +529,9 @@ class RetiredBlockWatch final : public flash::FaultModel {
   flash::ReadFault on_read(flash::PageId p) override {
     return inner_->on_read(p);
   }
-  flash::ProgramFault on_program(flash::PageId first, u32 count) override {
-    reuses_ += retired_.count(flash_.geometry().block_of_page(first));
-    return inner_->on_program(first, count);
+  flash::ProgramFault on_program(flash::PageId p) override {
+    reuses_ += retired_.count(flash_.geometry().block_of_page(p));
+    return inner_->on_program(p);
   }
   flash::EraseFault on_erase(flash::BlockId b) override {
     reuses_ += retired_.count(b);
@@ -641,12 +641,16 @@ INSTANTIATE_TEST_SUITE_P(AllBeds, EraseFailureOnBed,
                          bed_param_name);
 
 
-/// Fails every page program while `on`; reads and erases stay healthy.
+/// Fails every page program while `on` (only the next one if `once`);
+/// reads and erases stay healthy.
 struct ProgramFailSwitch final : flash::FaultModel {
   bool on = false;
+  bool once = false;
   flash::ReadFault on_read(flash::PageId) override { return {}; }
-  flash::ProgramFault on_program(flash::PageId, u32) override {
-    return {on, 0};
+  flash::ProgramFault on_program(flash::PageId) override {
+    const bool fail = on;
+    if (once) on = false;
+    return {fail, 0};
   }
   flash::EraseFault on_erase(flash::BlockId) override { return {}; }
   [[nodiscard]] TimeNs op_deadline_ns() const override { return 0; }
@@ -706,6 +710,8 @@ struct KvFirmware {
   }
   static u64 stored(u64 fp) { return fp; }
   [[nodiscard]] u64 live_units() const { return ftl.live_slots() / 4; }
+  /// Units one page holds: 4-slot chunks in a 24-slot data area.
+  static constexpr u64 kPageUnits = 6;
 };
 
 struct BlockFirmware {
@@ -743,6 +749,8 @@ struct BlockFirmware {
   [[nodiscard]] u64 live_units() const {
     return ftl.live_bytes() / ftl.slot_bytes();
   }
+  /// Units one page holds: 4 KiB slots in a 32 KiB page.
+  static constexpr u64 kPageUnits = 8;
 };
 
 template <typename Firmware>
@@ -822,6 +830,31 @@ TYPED_TEST(RecoveryQueue, UnitDroppedWhileQueuedStaysDropped) {
   fw.flash.set_faults(nullptr);
 }
 
+// A program fails on a block whose write point still fills its next page.
+// Retiring the block drops that open page too: its units are re-placed
+// with the failed page's, every value reads back, and remapped_units
+// counts the units of both pages.
+TYPED_TEST(RecoveryQueue, RetiredBlockReplacesItsOpenPage) {
+  TypeParam fw;
+  ProgramFailSwitch faults;
+  faults.on = faults.once = true;
+  fw.flash.set_faults(&faults);
+  // One page fills and programs (and fails ~0.7 ms later); the last 3
+  // units land in the next page of the same block long before that.
+  const u64 units = TypeParam::kPageUnits + 3;
+  for (u64 id = 0; id < units; ++id) fw.put(id, id + 1);
+  fw.eq.run();
+  flush_all(fw);
+  const ssd::FtlStats& st = fw.ftl.stats();
+  EXPECT_EQ(st.program_failures, 1u);
+  EXPECT_EQ(st.grown_bad_blocks, 1u);
+  EXPECT_EQ(st.remapped_units, units);
+  EXPECT_EQ(fw.live_units(), units);
+  for (u64 id = 0; id < units; ++id)
+    EXPECT_EQ(fw.get(id), TypeParam::stored(id + 1)) << id;
+  fw.flash.set_faults(nullptr);
+}
+
 // Writes `id` and steps the clock until the firmware acks it. The ack
 // comes while no block is free, so the write waits in a queue.
 template <typename Firmware>
@@ -872,6 +905,24 @@ TYPED_TEST(RecoveryQueue, QueuedHostWriteYieldsToANewerOne) {
   EXPECT_EQ(fw.live_units(), 18u);
   EXPECT_EQ(fw.get(2000), TypeParam::stored(2002));
   EXPECT_EQ(fw.get(1999), TypeParam::stored(1));
+  fw.flash.set_faults(nullptr);
+}
+
+// A KV store acked while no block is free leaves its chunk waiting for
+// one. A retrieve meanwhile answers from the write buffer: kOk with the
+// stored fingerprint.
+TEST(KvQueuedChunk, RetrieveAnswersItsStoredValue) {
+  KvFirmware fw;
+  ProgramFailSwitch faults;
+  fw.flash.set_faults(&faults);
+  EXPECT_GT(starve_relocations(fw, faults), 0u);
+  faults.on = false;
+  const u64 waits = fw.ftl.stats().gc_foreground_runs;
+  put_while_starved(fw, 2000, 2001);
+  // Only a chunk that finds no block starts foreground GC, and the chunk
+  // can be placed only once GC frees a block, after the ack.
+  ASSERT_EQ(fw.ftl.stats().gc_foreground_runs, waits + 1);
+  EXPECT_EQ(fw.get(2000), 2001u);
   fw.flash.set_faults(nullptr);
 }
 

@@ -133,18 +133,6 @@ TEST(Controller, SameChannelDifferentDiesShareBus) {
   EXPECT_EQ(tb, t.read_page_ns + 2 * xfer);
 }
 
-TEST(Controller, MultiPlaneProgramSingleTprog) {
-  sim::EventQueue eq;
-  FlashGeometry g = small_geom();
-  FlashTiming t;
-  FlashController ctl(eq, g, t);
-  TimeNs done_at = 0;
-  ctl.program_multi(0, 2, 32 * KiB, [&] { done_at = eq.now(); });
-  eq.run();
-  EXPECT_EQ(done_at, t.transfer_ns(64 * KiB) + t.program_page_ns);
-  EXPECT_EQ(ctl.stats().page_programs, 2u);
-}
-
 TEST(Controller, EccRetriesDisabledByDefault) {
   sim::EventQueue eq;
   FlashController ctl(eq, small_geom(), FlashTiming{});
@@ -196,26 +184,6 @@ TEST(Controller, EccRetryRoundsAreCapped) {
   eq.run();
   EXPECT_EQ(ctl.stats().read_retries,
             (reads + 1) * FlashController::kMaxReadRetryRounds);
-}
-
-TEST(Controller, MultiPlaneProgramRejectsDieCrossing) {
-  sim::EventQueue eq;
-  FlashGeometry g = small_geom();
-  FlashController ctl(eq, g, FlashTiming{});
-  const u64 pages_per_die =
-      (u64)g.planes_per_die * g.blocks_per_plane * g.pages_per_block;
-  // Last page of die 0 plus first page of die 1 -> invalid.
-  EXPECT_THROW(ctl.program_multi(pages_per_die - 1, 2, 4 * KiB, [] {}),
-               std::invalid_argument);
-  EXPECT_THROW(ctl.program_multi(0, 0, 4 * KiB, [] {}),
-               std::invalid_argument);
-  // Nothing was scheduled or counted by the rejected calls.
-  eq.run();
-  EXPECT_EQ(ctl.stats().page_programs, 0u);
-  // A same-die run at the same boundary is fine.
-  ctl.program_multi(pages_per_die - 2, 2, 4 * KiB, [] {});
-  eq.run();
-  EXPECT_EQ(ctl.stats().page_programs, 2u);
 }
 
 TEST(Controller, EraseBusiesDie) {

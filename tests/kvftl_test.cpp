@@ -100,6 +100,27 @@ TEST(KvFtl, MissingKeyNotFoundViaBloom) {
   EXPECT_GE(bed.ftl.bloom_negative_hits(), 1u);
 }
 
+// An absent key that passes the Bloom filter (a false positive) walks the
+// index and answers kNotFound; only the filter's own negatives count as
+// Bloom hits.
+TEST(KvFtl, BloomFalsePositiveAnswersNotFound) {
+  KvFtlConfig cfg = Bed::tiny_cfg();
+  cfg.expected_keys_hint = 1;  // the smallest filter: 1024 counters
+  Bed bed(Bed::tiny_device(), cfg);
+  for (u64 i = 0; i < 500; ++i)
+    ASSERT_EQ(bed.store(wl::make_key(i, 16), 100, i), Status::kOk);
+  u64 passed = 0;
+  for (u64 i = 1000; i < 1050; ++i) {
+    const u64 negatives = bed.ftl.bloom_negative_hits();
+    const auto [s, v] = bed.retrieve(wl::make_key(i, 16));
+    EXPECT_EQ(s, Status::kNotFound) << i;
+    EXPECT_EQ(v.size, 0u) << i;
+    passed += bed.ftl.bloom_negative_hits() == negatives;
+  }
+  EXPECT_GT(passed, 0u);
+  EXPECT_LT(passed, 50u);
+}
+
 TEST(KvFtl, OverwriteReturnsLatest) {
   Bed bed;
   EXPECT_EQ(bed.store("key-0001", 100, 1), Status::kOk);
@@ -286,6 +307,21 @@ TEST(KvFtl, IteratorForgetsDeletedKeys) {
     bed.eq.run();
   }
   EXPECT_EQ(iterated, std::set<std::string>{b});
+}
+
+// A cursor batch is a command: it completes no earlier than the dispatch
+// core gets to it, however soon its bucket-page read lands.
+TEST(KvFtl, IteratorBatchWaitsForItsDispatch) {
+  Bed bed;
+  ASSERT_EQ(bed.store(wl::make_key(1, 16), 100, 1), Status::kOk);
+  const TimeNs t0 = bed.eq.now();
+  // 1000 commands at once queue 1000 dispatches ahead of the batch.
+  for (u64 i = 0; i < 1000; ++i)
+    bed.ftl.exist(wl::make_key(i, 16), [](Status, bool) {});
+  TimeNs done_at = 0;
+  bed.ftl.charge_iterator_read([&] { done_at = bed.eq.now(); });
+  bed.eq.run();
+  EXPECT_GE(done_at, t0 + 1001 * bed.dev.firmware_dispatch_ns);
 }
 
 TEST(KvFtl, IndexSpillRaisesLatency) {

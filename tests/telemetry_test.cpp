@@ -337,7 +337,7 @@ TEST(Report, EveryListedCounterIsAKeyOfItsBlock) {
   plan.enabled = true;
   plan.program_fail_prob = 1.0;
   ssd::FaultInjector faults(plan, small_geom(), eq);
-  (void)faults.on_program(0, 1);
+  (void)faults.on_program(0);
 
   harness::BenchReport report("counter_keys");
   report.add_mix("mix", m);
