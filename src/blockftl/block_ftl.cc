@@ -143,6 +143,13 @@ void BlockFtl::drop_starved_writes(u64 first, u64 end) {
   }
 }
 
+const BlockFtl::Starved* BlockFtl::queued_write(u64 lpn) const {
+  for (const auto& wp : wps_)
+    for (const Starved& s : wp.starved)
+      if (s.lpn == lpn) return &s;
+  return nullptr;
+}
+
 bool BlockFtl::append_slot(WritePoint& wp, u64 lpn, u64 fp, bool seq,
                            bool is_gc) {
   if (!ensure_block(wp, is_gc)) return false;
@@ -226,12 +233,15 @@ void BlockFtl::read(Lba lba, u32 bytes, ReadDone done) {
   u64 fp = 0;
   TimeNs cpu = dispatch_ns_;
   for (u64 lpn = first; lpn <= last; ++lpn) {
+    // An acked write still waiting for a block answers from the write
+    // buffer, as a cache hit; the map still holds the older copy.
+    const Starved* queued = starved_writes_ ? queued_write(lpn) : nullptr;
     const u64 gsi = map_[lpn];
-    if (gsi == kUnmapped) continue;  // unwritten reads as zeros
-    fp ^= content_[gsi];
+    if (!queued && gsi == kUnmapped) continue;  // unwritten reads as zeros
+    fp ^= queued ? queued->fp : content_[gsi];
     const flash::PageId p = gsi / slots_per_page();
     ++cache_lookups_;
-    if (read_cache_.touch(p) || buffered_pages_[p]) {
+    if (queued || read_cache_.touch(p) || buffered_pages_[p]) {
       ++cache_hits_;
       cpu += cfg_.cache_hit_ns;
       continue;

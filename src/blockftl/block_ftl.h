@@ -152,6 +152,9 @@ class BlockFtl final : public ssd::FtlCore {
   /// Drop the queued host writes of LPNs in [first, end): a newer write
   /// or a TRIM replaced them, and a freed block must not bring them back.
   void drop_starved_writes(u64 first, u64 end);
+  /// The queued host write of `lpn`, or null. drop_starved_writes keeps
+  /// at most one per LPN.
+  [[nodiscard]] const Starved* queued_write(u64 lpn) const;
   bool append_slot(WritePoint& wp, u64 lpn, u64 fp, bool seq, bool is_gc);
   void seal_page(WritePoint& wp, bool is_gc);
   void arm_flush_timer(WritePoint& wp);

@@ -908,21 +908,22 @@ TYPED_TEST(RecoveryQueue, QueuedHostWriteYieldsToANewerOne) {
   fw.flash.set_faults(nullptr);
 }
 
-// A KV store acked while no block is free leaves its chunk waiting for
-// one. A retrieve meanwhile answers from the write buffer: kOk with the
-// stored fingerprint.
-TEST(KvQueuedChunk, RetrieveAnswersItsStoredValue) {
-  KvFirmware fw;
+// A host write acked while no block is free waits for one in a queue
+// (the KV FTL's chunk, the block FTL's write point). A read meanwhile
+// answers from the write buffer: kOk with the stored fingerprint, not
+// the old content.
+TYPED_TEST(RecoveryQueue, QueuedHostWriteReadsBack) {
+  TypeParam fw;
   ProgramFailSwitch faults;
   fw.flash.set_faults(&faults);
   EXPECT_GT(starve_relocations(fw, faults), 0u);
   faults.on = false;
   const u64 waits = fw.ftl.stats().gc_foreground_runs;
   put_while_starved(fw, 2000, 2001);
-  // Only a chunk that finds no block starts foreground GC, and the chunk
+  // Only a write that finds no block starts foreground GC, and the write
   // can be placed only once GC frees a block, after the ack.
   ASSERT_EQ(fw.ftl.stats().gc_foreground_runs, waits + 1);
-  EXPECT_EQ(fw.get(2000), 2001u);
+  EXPECT_EQ(fw.get(2000), TypeParam::stored(2001));
   fw.flash.set_faults(nullptr);
 }
 
