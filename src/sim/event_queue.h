@@ -8,18 +8,25 @@
 // Hot-path design (see docs/API.md "Simulation core"):
 //  * callbacks are sim::Task — a move-only wrapper whose 48 B inline
 //    buffer holds the common capture without heap allocation;
-//  * the pending set is a 4-ary heap of 24 B POD entries (time, seq,
-//    slot); sifting moves only PODs, never callbacks;
-//  * callbacks live in a slab-backed pool of recycled Task slots, so a
-//    steady-state schedule→run cycle allocates nothing.
+//  * each callback is constructed in a slot of a slab-backed pool and
+//    runs there, so a steady-state schedule→run cycle allocates nothing
+//    and never moves a callback;
+//  * the pending set is a monotone radix queue over those slots. No
+//    pending event is earlier than the last popped time, the reference:
+//    bucket 0 holds the events at the reference, and bucket b >= 1 those
+//    whose time first differs from it at bit b - 1. Each bucket is a FIFO
+//    chained through the slots, so equal times pop in schedule order.
 #pragma once
 
+#include <array>
+#include <bit>
+#include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.h"
 #include "common/types.h"
-#include "sim/dheap.h"
 #include "sim/task.h"
 
 namespace kvsim::sim {
@@ -27,9 +34,8 @@ namespace kvsim::sim {
 class EventQueue {
  public:
   KVSIM_THREAD_CONFINED;
-  using Callback = Task;
 
-  EventQueue() = default;
+  EventQueue() { heads_.fill(kNil); }
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
   ~EventQueue();
@@ -37,34 +43,37 @@ class EventQueue {
   /// Current simulated time.
   [[nodiscard]] TimeNs now() const { return now_; }
 
-  /// Schedule `cb` at absolute time `t`. A `t` in the past is clamped to
-  /// now *and counted*: a past-time schedule means some component computed
-  /// a completion time before the current time, which silently reorders
+  /// Schedule `cb` (anything a Task holds) at absolute time `t`; the Task
+  /// is built in its pool slot. A `t` in the past is clamped to now *and
+  /// counted*: a past-time schedule means some component computed a
+  /// completion time before the current time, which silently reorders
   /// causality. The KVSIM_AUDIT build treats a nonzero clamp count as an
   /// invariant violation (see ssd/audit.h).
-  void schedule_at(TimeNs t, Task cb) {
+  template <typename F>
+  void schedule_at(TimeNs t, F&& cb) {
     if (t < now_) {
       t = now_;
       ++clamped_;
     }
-    heap_.push(Entry{t, seq_++, pool_put(std::move(cb))});
+    if (free_ == kNil) grow_pool();
+    const u32 slot = free_;
+    // Build before taking the slot, so a throwing constructor leaks none.
+    ::new (static_cast<void*>(slot_ptr(slot))) Task(std::forward<F>(cb));
+    free_ = links_[slot].next;
+    links_[slot].time = t;
+    append(bucket_of(t), slot);
   }
 
   /// Schedule `cb` `delay` ns from now.
-  void schedule_after(TimeNs delay, Task cb) {
-    schedule_at(now_ + delay, std::move(cb));
+  template <typename F>
+  void schedule_after(TimeNs delay, F&& cb) {
+    schedule_at(now_ + delay, std::forward<F>(cb));
   }
 
   /// Pop and run the earliest event. Returns false if the queue is empty.
   bool step() {
-    if (heap_.empty()) return false;
-    const Entry e = heap_.pop_top();
-    now_ = e.time;
-    ++processed_;
-    // Move the callback out and free its slot *before* invoking, so a
-    // re-entrant schedule_at from inside the callback may recycle it.
-    Task cb = pool_take(e.slot);
-    cb();
+    if (!ready(kNever)) return false;
+    run_front();
     return true;
   }
 
@@ -82,22 +91,24 @@ class EventQueue {
   /// Returns the number of events discarded.
   u64 discard_pending();
 
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] bool empty() const {
+    return heads_[0] == kNil && occupied_ == 0;
+  }
   [[nodiscard]] u64 events_processed() const { return processed_; }
   /// Schedules whose target time was in the past (clamped to now).
   [[nodiscard]] u64 clamped_schedules() const { return clamped_; }
 
  private:
-  /// Heap entry: ordering key plus the pool slot owning the callback.
-  struct Entry {
-    TimeNs time;
-    u64 seq;
-    u32 slot;
-  };
-  struct Earlier {
-    bool operator()(const Entry& a, const Entry& b) const {
-      return a.time != b.time ? a.time < b.time : a.seq < b.seq;
-    }
+  static constexpr u32 kNil = std::numeric_limits<u32>::max();
+  static constexpr TimeNs kNever = std::numeric_limits<TimeNs>::max();
+  /// Bucket 0 plus one per bit of a time.
+  static constexpr int kBuckets = std::numeric_limits<TimeNs>::digits + 1;
+
+  /// Per-slot queue state: the event's time and the next slot in its
+  /// bucket (or, for a free slot, in the free list).
+  struct Link {
+    TimeNs time = 0;
+    u32 next = kNil;
   };
 
   /// Tasks per pool slab. One slab is ~28 KiB — large enough that slab
@@ -108,27 +119,56 @@ class EventQueue {
     return reinterpret_cast<Task*>(slabs_[slot / kSlabTasks].get()) +
            slot % kSlabTasks;
   }
-  u32 pool_put(Task&& cb) {
-    if (free_slots_.empty()) grow_pool();
-    const u32 slot = free_slots_.back();
-    free_slots_.pop_back();
-    ::new (static_cast<void*>(slot_ptr(slot))) Task(std::move(cb));
-    return slot;
+  [[nodiscard]] int bucket_of(TimeNs t) const {
+    return std::bit_width(t ^ ref_);
   }
-  Task pool_take(u32 slot) {
-    Task* p = slot_ptr(slot);
-    Task out = std::move(*p);
-    p->~Task();
-    free_slots_.push_back(slot);
-    return out;
+  void append(int b, u32 slot) {
+    links_[slot].next = kNil;
+    if (heads_[b] == kNil) {
+      heads_[b] = slot;
+      if (b != 0) occupied_ |= u64{1} << (b - 1);
+    } else {
+      links_[tails_[b]].next = slot;
+    }
+    tails_[b] = slot;
+  }
+  /// Whether an event at or before `limit` is pending. If one is, bucket
+  /// 0 holds the earliest events; if none is, the reference stays put,
+  /// so it never passes now().
+  bool ready(TimeNs limit) {
+    if (heads_[0] != kNil) return ref_ <= limit;
+    return occupied_ != 0 && rebase(limit);
+  }
+  bool rebase(TimeNs limit);
+  /// Run bucket 0's head in its slot, then destroy and free the slot
+  /// (also when the callback throws).
+  void run_front() {
+    const u32 slot = heads_[0];
+    heads_[0] = links_[slot].next;
+    now_ = ref_;
+    ++processed_;
+    struct Release {
+      EventQueue& q;
+      u32 slot;
+      ~Release() { q.release(slot); }
+    } release{*this, slot};
+    (*slot_ptr(slot))();
+  }
+  void release(u32 slot) {
+    slot_ptr(slot)->~Task();
+    links_[slot].next = free_;
+    free_ = slot;
   }
   void grow_pool();
 
-  DHeap<Entry, 4, Earlier> heap_;
   std::vector<std::unique_ptr<std::byte[]>> slabs_;
-  std::vector<u32> free_slots_;
+  std::vector<Link> links_;  // one per pool slot
+  u32 free_ = kNil;          // head of the free-slot list
+  std::array<u32, kBuckets> heads_;  // kNil while a bucket is empty
+  std::array<u32, kBuckets> tails_{};
+  u64 occupied_ = 0;  // bit b - 1 set while bucket b >= 1 is non-empty
+  TimeNs ref_ = 0;    // the reference: never after now_
   TimeNs now_ = 0;
-  u64 seq_ = 0;
   u64 processed_ = 0;
   u64 clamped_ = 0;
 };

@@ -1,15 +1,18 @@
-// Tests of the event queue's ordering structure and semantics that the
-// fast-path rewrite (sim::Task + 4-ary slab-pooled heap) must preserve:
-// (time, seq) tie-break stability for every heap arity, run_until
-// boundary behavior, clamp counting, and re-entrant scheduling.
+// Tests of the event queue's ordering and semantics: the radix buckets
+// must pop in (time, schedule order), as a stable sort and a simple
+// (time, seq) reference queue do, across run_until windows, power-cut
+// discards and deltas up to 2^50 ns; plus run_until boundary behavior,
+// clamp counting, and re-entrant scheduling from a callback that runs in
+// its own pool slot.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
-#include "sim/dheap.h"
 #include "sim/event_queue.h"
 #include "sim/task.h"
 
@@ -26,35 +29,130 @@ struct KeyEarlier {
   }
 };
 
-/// Push a scrambled (time, seq) stream and pop it dry; the pop sequence
-/// must equal the stable sort regardless of arity.
-template <unsigned Arity>
-std::vector<Key> pop_sequence(const std::vector<Key>& input) {
-  DHeap<Key, Arity, KeyEarlier> heap;
-  for (const Key& k : input) heap.push(k);
-  std::vector<Key> out;
-  while (!heap.empty()) out.push_back(heap.pop_top());
-  return out;
+/// The ordering contract spelled out: pending events in a flat list,
+/// each pop a scan for the least (time, seq).
+class ReferenceQueue {
+ public:
+  [[nodiscard]] TimeNs now() const { return now_; }
+  void schedule_at(TimeNs t, std::function<void()> cb) {
+    pending_.push_back(Pending{Key{std::max(t, now_), seq_++}, std::move(cb)});
+  }
+  void schedule_after(TimeNs delay, std::function<void()> cb) {
+    schedule_at(now_ + delay, std::move(cb));
+  }
+  bool step() {
+    if (pending_.empty()) return false;
+    const auto it = std::min_element(
+        pending_.begin(), pending_.end(),
+        [](const Pending& a, const Pending& b) {
+          return KeyEarlier{}(a.key, b.key);
+        });
+    now_ = it->key.time;
+    auto cb = std::move(it->cb);
+    pending_.erase(it);
+    cb();
+    return true;
+  }
+  void run() {
+    while (step()) {
+    }
+  }
+  void run_until(TimeNs t) {
+    while (!pending_.empty() && earliest() <= t) step();
+    now_ = std::max(now_, t);
+  }
+  u64 discard_pending() {
+    const u64 n = pending_.size();
+    pending_.clear();
+    return n;
+  }
+
+ private:
+  struct Pending {
+    Key key;
+    std::function<void()> cb;
+  };
+  [[nodiscard]] TimeNs earliest() const {
+    TimeNs t = pending_.front().key.time;
+    for (const Pending& p : pending_) t = std::min(t, p.key.time);
+    return t;
+  }
+  std::vector<Pending> pending_;
+  TimeNs now_ = 0;
+  u64 seq_ = 0;
+};
+
+/// A delay from the simulator's mix, stretched to the queue's edges:
+/// ties, nearby times, far times, and jumps up to 2^50 ns that change
+/// the high bits of the reference.
+TimeNs fuzz_delta(Rng& rng) {
+  switch (rng.below(6)) {
+    case 0:
+      return 0;
+    case 1:
+      return rng.below(4);
+    case 2:
+      return rng.range(1, 100'000);
+    case 3:
+      return rng.range(1, u64{1} << 24);
+    case 4:
+      return 10 * kMs;
+    default:
+      return rng.range(1, u64{1} << rng.range(30, 50));
+  }
 }
 
-TEST(DHeap, PopOrderIsIdenticalForEveryArity) {
-  Rng rng(7);
-  std::vector<Key> input;
-  // Many duplicate times so tie-breaking actually gets exercised.
-  for (u64 seq = 0; seq < 2000; ++seq)
-    input.push_back(Key{(TimeNs)rng.below(50), seq});
+/// One seeded run over queue Q: top-level batches of schedules, steps,
+/// run_until windows followed by schedules inside the window (before
+/// the earliest pending event), and power-cut discards followed by
+/// schedules earlier than the discarded events. Callbacks schedule
+/// children, at now() or after a delta. Returns (event id, now() when it
+/// ran) in run order and the discard counts.
+template <typename Q>
+std::vector<std::pair<u64, TimeNs>> fuzz_run(u64 seed) {
+  Q q;
+  Rng rng(seed);
+  std::vector<std::pair<u64, TimeNs>> log;
+  u64 next_id = 0;
+  std::function<void(TimeNs)> add = [&](TimeNs delay) {
+    const u64 id = next_id++;
+    q.schedule_after(delay, [&, id] {
+      log.emplace_back(id, q.now());
+      const u64 children = rng.below(3);
+      for (u64 c = 0; c < children && next_id < 4000; ++c)
+        add(rng.below(3) == 0 ? 0 : fuzz_delta(rng));
+    });
+  };
+  for (int round = 0; round < 60; ++round) {
+    for (u64 i = rng.below(24); i > 0; --i) add(fuzz_delta(rng));
+    switch (rng.below(4)) {
+      case 0:
+        for (u64 i = rng.below(40); i > 0 && q.step(); --i) {
+        }
+        break;
+      case 1:
+      case 2: {
+        q.run_until(q.now() + fuzz_delta(rng));
+        for (u64 i = rng.below(8); i > 0; --i) add(rng.below(1000));
+        break;
+      }
+      default:
+        log.emplace_back(~u64{0}, q.discard_pending());
+        for (u64 i = rng.below(8); i > 0; --i) add(rng.below(1000));
+    }
+  }
+  q.run();
+  log.emplace_back(~u64{0}, q.now());
+  return log;
+}
 
-  std::vector<Key> expect = input;
-  std::stable_sort(expect.begin(), expect.end(), KeyEarlier{});
-
-  const auto b2 = pop_sequence<2>(input);
-  const auto b4 = pop_sequence<4>(input);
-  const auto b8 = pop_sequence<8>(input);
-  ASSERT_EQ(b2.size(), expect.size());
-  for (size_t i = 0; i < expect.size(); ++i) {
-    EXPECT_EQ(b2[i].seq, expect[i].seq) << "arity 2 diverged at " << i;
-    EXPECT_EQ(b4[i].seq, expect[i].seq) << "arity 4 diverged at " << i;
-    EXPECT_EQ(b8[i].seq, expect[i].seq) << "arity 8 diverged at " << i;
+TEST(EventQueueOrder, MatchesReferenceQueueAcrossWindowsAndDiscards) {
+  for (u64 seed = 1; seed <= 60; ++seed) {
+    const auto got = fuzz_run<EventQueue>(seed);
+    const auto want = fuzz_run<ReferenceQueue>(seed);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i], want[i]) << "seed " << seed << ", entry " << i;
   }
 }
 
@@ -104,8 +202,9 @@ TEST(EventQueueSemantics, ClampCountingUnchanged) {
 }
 
 TEST(EventQueueSemantics, ReentrantScheduleFromInsideCallback) {
-  // A callback scheduling more work may recycle its own just-freed pool
-  // slot; the chain must still run to completion in order.
+  // A callback runs in its own pool slot, which is freed only after it
+  // returns, so the work it schedules takes other slots; the chain must
+  // still run to completion in order.
   EventQueue eq;
   std::vector<int> order;
   int depth = 0;

@@ -126,7 +126,7 @@ TEST(AllocationRegression, SteadyStateEventCycleIsAllocationFree) {
     }
     eq.run();
   };
-  // Warm up: grows the slab pool and the heap vector to steady state.
+  // Warm up: grows the slab pool and its per-slot links to steady state.
   for (int r = 0; r < 8; ++r) cycle();
   const auto before = g_allocs;
   for (int r = 0; r < 8; ++r) cycle();
