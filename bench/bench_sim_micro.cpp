@@ -1,5 +1,6 @@
 // Google-benchmark microbenchmarks of the simulator's own hot paths:
-// event queue throughput, flash scheduling, index model, Bloom filter,
+// event queue throughput (batches, and the hold model's steady pending
+// set), flash scheduling, index model, Bloom filter,
 // SST point lookup and compaction merge, Zipf sampling, hashing,
 // histogram recording. These bound how large an experiment the simulator
 // can run per wall-clock second.
@@ -71,7 +72,7 @@ using namespace kvsim;
 
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   // The queue is constructed once and reused: the benchmark measures the
-  // steady-state schedule->run cycle, not slab/heap warm-up. Times are
+  // steady-state schedule->run cycle, not slab-pool warm-up. Times are
   // scheduled relative to now() because the reused queue's clock advances.
   sim::EventQueue eq;
   u64 sink = 0;
@@ -89,6 +90,46 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
       (double)allocs / (double)(state.iterations() * 1000));
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+/// Delays of the hold model, a power of two of them.
+constexpr u32 kHoldDeltas = 1024;
+
+// Hold model: range(0) events stay pending, and each event that runs
+// schedules one successor at now() plus a delay from a fixed mix: 1 in 8
+// a tie (0 ns), 1 in 8 the block FTL's 10 ms flush timer, the rest 1-100
+// us (flash and firmware service times). That is the steady state the
+// simulator's workloads run in; BM_EventQueueScheduleRun's batches of
+// reverse-ordered events are not.
+void BM_EventQueueHold(benchmark::State& state) {
+  std::vector<TimeNs> deltas(kHoldDeltas);
+  Rng rng(6);
+  for (TimeNs& d : deltas) {
+    const u64 r = rng.below(8);
+    d = r == 0 ? 0 : r == 1 ? 10 * kMs : rng.range(kUs, 100 * kUs);
+  }
+  struct Hold {
+    sim::EventQueue* eq;
+    const TimeNs* deltas;
+    u32* next;
+    void operator()() const {
+      eq->schedule_after(deltas[(*next)++ % kHoldDeltas], *this);
+    }
+  };
+  sim::EventQueue eq;
+  u32 next = 0;
+  for (i64 i = 0; i < state.range(0); ++i)
+    Hold{&eq, deltas.data(), &next}();
+  // Warm up: a running event holds its slot while it schedules its
+  // successor, so the pool needs one slot more than the pending count.
+  for (i64 i = 0; i < state.range(0); ++i) eq.step();
+  const auto allocs0 = g_alloc_count.load(std::memory_order_relaxed);
+  for (auto _ : state) eq.step();
+  const auto allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs0;
+  state.SetItemsProcessed(state.iterations());
+  state.counters["allocs_per_event"] = benchmark::Counter(
+      (double)allocs / (double)state.iterations());
+}
+BENCHMARK(BM_EventQueueHold)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_FlashControllerReads(benchmark::State& state) {
   flash::FlashGeometry g;
@@ -239,7 +280,7 @@ BENCHMARK(BM_RunWorkloadTelemetry)->Arg(0)->Arg(1);
 // --- smoke mode -------------------------------------------------------------
 
 /// One timed steady-state run of the schedule->run cycle over `events`
-/// events (after `warmup` untimed events to grow the slab pool and heap).
+/// events (after `warmup` untimed events to grow the slab pool).
 struct SmokeResult {
   double events_per_sec;
   double ns_per_event;
