@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <span>
 #include <stdexcept>
 
 #include "sim/join.h"
@@ -170,97 +169,18 @@ void LsmStore::rotate_memtable() {
   schedule_flush();
 }
 
+// ---------------------------------------------------------------------------
+// Background jobs: flushes, merges and trivial moves
+// ---------------------------------------------------------------------------
+
 void LsmStore::schedule_flush() {
   if (flush_running_ || !immutable_) return;
   flush_running_ = true;
   ++flushes_;
-
-  SstBuilder builder;
-  u64 key_bytes = 0;
-  for (const auto& [k, e] : *immutable_) key_bytes += k.size();
-  builder.reserve(immutable_->size(), key_bytes);
-  for (const auto& [k, e] : *immutable_)
-    builder.add(k, e.value, e.seq, e.tombstone);
-  auto sst = builder.finish(next_sst_id_++);
-  char name[32];
-  std::snprintf(name, sizeof(name), "sst-%llu", (unsigned long long)sst->id);
-  sst->file = fs_.create(name);
-
-  const u64 kvps = sst->entries.size();
-  cpu_ns_ += kvps * cfg_.compaction_cpu_per_kvp_ns / 2;  // flush is cheaper
-  const TimeNs t_cpu =
-      bg_cpu_.reserve(eq_.now(), kvps * cfg_.compaction_cpu_per_kvp_ns / 2);
-  eq_.schedule_at(t_cpu, [this, sst] {
-    write_ssts_then({sst}, [this, sst] { finish_flush(sst); });
-  });
+  const u32 slot = jobs_.acquire();
+  jobs_[slot].kind = Job::Kind::kFlush;
+  read_inputs(slot);
 }
-
-void LsmStore::write_ssts_then(std::vector<std::shared_ptr<Sst>> ssts,
-                               std::function<void()> done) {
-  // Sequentially append each SST file in io_chunk_bytes pieces.
-  struct State {
-    std::vector<std::shared_ptr<Sst>> ssts;
-    size_t idx = 0;
-    u64 written = 0;
-    std::function<void()> done;
-  };
-  auto st = std::make_shared<State>();
-  st->ssts = std::move(ssts);
-  st->done = std::move(done);
-  auto step = std::make_shared<std::function<void()>>();
-  // Self-capture must be weak or the closure keeps itself alive forever;
-  // the caller / pending append callback holds the strong reference.
-  *step = [this, st, wstep = std::weak_ptr<std::function<void()>>(step)] {
-    auto step = wstep.lock();
-    if (st->idx == st->ssts.size()) {
-      st->done();
-      return;
-    }
-    Sst& sst = *st->ssts[st->idx];
-    if (st->written >= sst.file_bytes) {
-      ++st->idx;
-      st->written = 0;
-      (*step)();
-      return;
-    }
-    const u64 chunk =
-        std::min<u64>(sst.file_bytes - st->written, cfg_.io_chunk_bytes);
-    fs_.set_queue(0);  // background writes stay off the tenant queues
-    fs_.append(sst.file, chunk,
-               sst.id * 1000 + st->written / cfg_.io_chunk_bytes,
-               [st, step, chunk](Status) {
-                 st->written += chunk;
-                 (*step)();
-               });
-  };
-  (*step)();
-}
-
-void LsmStore::finish_flush(std::shared_ptr<Sst> sst) {
-  levels_[0].push_back(std::move(sst));
-  audit_install({&levels_[0].back(), 1}, levels_);
-  immutable_.reset();
-  flush_running_ = false;
-  // Crash mode archives rotated WAL segments instead of deleting them:
-  // the flush's appends are acked but possibly still in the device write
-  // buffer, so dropping the WAL here is exactly the no-fsync data-loss
-  // window the crash model exists to expose.
-  if (!crash_tracking_ &&
-      rotated_wal_ != fs::FileSystem::kInvalidHandle) {
-    const auto dead = rotated_wal_;
-    rotated_wal_ = fs::FileSystem::kInvalidHandle;
-    wal_seg_bytes_ -= std::min(wal_seg_bytes_, fs_.file_bytes(dead));
-    fs_.remove(dead, [](Status) {});
-  }
-  if (draining_ && !memtable_.empty() && !immutable_) rotate_memtable();
-  unstall();
-  maybe_schedule_compaction();
-  maybe_quiesce();
-}
-
-// ---------------------------------------------------------------------------
-// Compaction
-// ---------------------------------------------------------------------------
 
 u64 LsmStore::level_bytes(u32 level) const {
   u64 sum = 0;
@@ -293,8 +213,8 @@ bool LsmStore::try_start_compaction() {
   if (levels_[0].size() >= cfg_.l0_compaction_trigger &&
       !any_compacting(levels_[0])) {
     // L0 files overlap each other, so an L0 job must take them all; it
-    // also claims the overlapping L1 range inside run_compaction.
-    run_compaction(0);
+    // also claims the overlapping L1 range.
+    start_compaction(0, levels_[0]);
     return true;
   }
   for (u32 i = 1; i + 1 < (u32)levels_.size(); ++i) {
@@ -312,7 +232,7 @@ bool LsmStore::try_start_compaction() {
             clash = true;
         if (clash) continue;
         compact_rr_[i] = idx + 1;
-        run_compaction_victim(i, victim);
+        start_compaction(i, {&victim, 1});
         return true;
       }
     }
@@ -320,157 +240,173 @@ bool LsmStore::try_start_compaction() {
   return false;
 }
 
-void LsmStore::run_compaction(u32 level) {
-  run_compaction_victim(level, nullptr);
-}
-
-void LsmStore::run_compaction_victim(u32 level,
-                                     std::shared_ptr<Sst> victim) {
+void LsmStore::start_compaction(u32 level,
+                                std::span<const std::shared_ptr<Sst>> files) {
   ++compactions_inflight_;
   peak_compactions_ = std::max(peak_compactions_, compactions_inflight_);
   ++compactions_;
 
-  std::vector<std::shared_ptr<Sst>> inputs_lo;
-  if (level == 0) {
-    inputs_lo = levels_[0];
-  } else {
-    inputs_lo.push_back(victim ? victim : levels_[level][0]);
-  }
-
-  std::string_view lo = inputs_lo.front()->smallest();
-  std::string_view hi = inputs_lo.front()->largest();
-  for (const auto& s : inputs_lo) {
+  const u32 slot = jobs_.acquire();
+  Job& j = jobs_[slot];
+  j.level = level;
+  j.inputs.assign(files.begin(), files.end());
+  std::string_view lo = files.front()->smallest();
+  std::string_view hi = files.front()->largest();
+  for (const auto& s : files) {
     lo = std::min(lo, s->smallest());
     hi = std::max(hi, s->largest());
   }
-  std::vector<std::shared_ptr<Sst>> inputs_hi;
   for (const auto& s : levels_[level + 1])
-    if (s->overlaps(lo, hi)) inputs_hi.push_back(s);
-  for (const auto& s : inputs_lo) s->compacting = true;
-  for (const auto& s : inputs_hi) s->compacting = true;
+    if (s->overlaps(lo, hi)) j.inputs.push_back(s);
+  for (const auto& s : j.inputs) s->compacting = true;
 
   // Trivial move: nothing to merge with downstairs, and (for L0) the
   // inputs do not overlap each other — just move metadata. This is what
   // makes sequential fills cheap on the LSM/block stack.
-  bool movable = inputs_hi.empty();
-  if (movable && level == 0 && inputs_lo.size() > 1) {
-    std::vector<std::shared_ptr<Sst>> sorted = inputs_lo;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto& a, const auto& b) {
-                return a->smallest() < b->smallest();
-              });
-    for (size_t i = 0; i + 1 < sorted.size() && movable; ++i)
-      movable = !(sorted[i]->largest() >= sorted[i + 1]->smallest());
-  }
+  bool movable = j.inputs.size() == files.size();
+  for (size_t a = 0; movable && a < files.size(); ++a)
+    for (size_t b = a + 1; movable && b < files.size(); ++b)
+      movable = !files[a]->overlaps(files[b]->smallest(), files[b]->largest());
+  j.kind = movable ? Job::Kind::kMove : Job::Kind::kMerge;
   if (movable) {
     ++trivial_moves_;
-    install_compaction(level, std::move(inputs_lo), {}, {});
+    install(slot);
     return;
   }
-
-  // Real merge: read all inputs, merge (CPU), write outputs, install.
-  std::vector<std::shared_ptr<Sst>> all_inputs = inputs_lo;
-  all_inputs.insert(all_inputs.end(), inputs_hi.begin(), inputs_hi.end());
-
-  struct ReadState {
-    size_t idx = 0;
-    u64 offset = 0;
-  };
-  auto rs = std::make_shared<ReadState>();
-  auto inputs = std::make_shared<std::vector<std::shared_ptr<Sst>>>(all_inputs);
-  auto step = std::make_shared<std::function<void()>>();
-  // Self-capture must be weak or the closure keeps itself alive forever;
-  // the caller / pending read callback holds the strong reference.
-  *step = [this, rs, inputs, wstep = std::weak_ptr<std::function<void()>>(step),
-           level, inputs_lo, inputs_hi] {
-    auto step = wstep.lock();
-    if (rs->idx == inputs->size()) {
-      // All inputs read; merge on the background CPU. Tombstones die at
-      // the bottom: no level below the output holds data.
-      u64 kvps = 0;
-      for (const auto& s : *inputs) kvps += s->entries.size();
-      bool bottom = true;
-      for (u32 j = level + 2; j < (u32)levels_.size(); ++j)
-        if (!levels_[j].empty()) bottom = false;
-      cpu_ns_ += kvps * cfg_.compaction_cpu_per_kvp_ns;
-      const TimeNs t_cpu =
-          bg_cpu_.reserve(eq_.now(), kvps * cfg_.compaction_cpu_per_kvp_ns);
-      std::vector<std::shared_ptr<Sst>> outputs =
-          merge_ssts(*inputs, bottom, cfg_.sst_target_bytes, next_sst_id_);
-      for (const auto& o : outputs) {
-        char name[32];
-        std::snprintf(name, sizeof(name), "sst-%llu",
-                      (unsigned long long)o->id);
-        o->file = fs_.create(name);
-      }
-      eq_.schedule_at(t_cpu, [this, outputs, level, inputs_lo, inputs_hi] {
-        write_ssts_then(outputs, [this, level, inputs_lo, inputs_hi,
-                                  outputs] {
-          install_compaction(level, inputs_lo, inputs_hi, outputs);
-        });
-      });
-      return;
-    }
-    Sst& sst = *(*inputs)[rs->idx];
-    if (rs->offset >= sst.file_bytes) {
-      ++rs->idx;
-      rs->offset = 0;
-      (*step)();
-      return;
-    }
-    const u64 chunk =
-        std::min<u64>(sst.file_bytes - rs->offset, cfg_.io_chunk_bytes);
-    fs_.set_queue(0);  // background reads stay off the tenant queues
-    fs_.read(sst.file, rs->offset, chunk, [rs, step, chunk](Status, u64) {
-      rs->offset += chunk;
-      (*step)();
-    });
-  };
-  (*step)();
+  read_inputs(slot);
 }
 
-void LsmStore::install_compaction(
-    u32 level, std::vector<std::shared_ptr<Sst>> inputs_lo,
-    std::vector<std::shared_ptr<Sst>> inputs_hi,
-    std::vector<std::shared_ptr<Sst>> outputs) {
-  auto remove_from = [](std::vector<std::shared_ptr<Sst>>& vec,
-                        const std::vector<std::shared_ptr<Sst>>& gone) {
-    vec.erase(std::remove_if(vec.begin(), vec.end(),
-                             [&](const std::shared_ptr<Sst>& s) {
-                               for (const auto& g : gone)
-                                 if (g == s) return true;
-                               return false;
-                             }),
-              vec.end());
-  };
-  remove_from(levels_[level], inputs_lo);
-  remove_from(levels_[level + 1], inputs_hi);
-
-  if (outputs.empty() && !inputs_lo.empty() && inputs_hi.empty()) {
-    // Trivial move: the inputs become the outputs.
-    outputs = inputs_lo;
-    inputs_lo.clear();
+std::optional<LsmStore::Job::Piece> LsmStore::Job::next_piece(
+    const std::vector<std::shared_ptr<Sst>>& files, u64 chunk_bytes) {
+  while (file < files.size() && done_bytes >= files[file]->file_bytes) {
+    ++file;
+    done_bytes = 0;
   }
-  for (auto& o : outputs) levels_[level + 1].push_back(o);
-  std::sort(levels_[level + 1].begin(), levels_[level + 1].end(),
-            [](const auto& a, const auto& b) {
-              return a->smallest() < b->smallest();
-            });
-  audit_install(outputs, levels_);
+  if (file == files.size()) {
+    file = 0;
+    return std::nullopt;
+  }
+  const Sst& sst = *files[file];
+  const Piece piece{&sst, done_bytes,
+                    std::min<u64>(sst.file_bytes - done_bytes, chunk_bytes)};
+  done_bytes += piece.bytes;
+  return piece;
+}
 
-  // Delete replaced files (trivial moves keep theirs).
-  for (const auto& s : inputs_lo)
-    if (s->file != fs::FileSystem::kInvalidHandle)
-      fs_.remove(s->file, [](Status) {});
-  for (const auto& s : inputs_hi)
-    if (s->file != fs::FileSystem::kInvalidHandle)
-      fs_.remove(s->file, [](Status) {});
+void LsmStore::read_inputs(u32 slot) {
+  const auto piece = jobs_[slot].next_piece(jobs_[slot].inputs,
+                                            cfg_.io_chunk_bytes);
+  if (!piece) {
+    compute_outputs(slot);
+    return;
+  }
+  fs_.set_queue(0);  // background reads stay off the tenant queues
+  fs_.read(piece->sst->file, piece->offset, piece->bytes,
+           [this, slot](Status, u64) { read_inputs(slot); });
+}
 
-  for (auto& o : outputs) o->compacting = false;
-  --compactions_inflight_;
+void LsmStore::compute_outputs(u32 slot) {
+  Job& j = jobs_[slot];
+  TimeNs cpu = 0;
+  if (j.kind == Job::Kind::kFlush) {
+    SstBuilder builder;
+    u64 key_bytes = 0;
+    for (const auto& [k, e] : *immutable_) key_bytes += k.size();
+    builder.reserve(immutable_->size(), key_bytes);
+    for (const auto& [k, e] : *immutable_)
+      builder.add(k, e.value, e.seq, e.tombstone);
+    j.outputs.push_back(builder.finish(next_sst_id_++));
+    // A flush is cheaper than a merge.
+    cpu = j.outputs[0]->entries.size() * cfg_.compaction_cpu_per_kvp_ns / 2;
+  } else {
+    // Tombstones die at the bottom: no level below the output holds data.
+    u64 kvps = 0;
+    for (const auto& s : j.inputs) kvps += s->entries.size();
+    bool bottom = true;
+    for (u32 l = j.level + 2; l < (u32)levels_.size(); ++l)
+      if (!levels_[l].empty()) bottom = false;
+    cpu = kvps * cfg_.compaction_cpu_per_kvp_ns;
+    j.outputs =
+        merge_ssts(j.inputs, bottom, cfg_.sst_target_bytes, next_sst_id_);
+  }
+  for (const auto& o : j.outputs) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "sst-%llu", (unsigned long long)o->id);
+    o->file = fs_.create(name);
+  }
+  cpu_ns_ += cpu;
+  eq_.schedule_at(bg_cpu_.reserve(eq_.now(), cpu),
+                  [this, slot] { write_outputs(slot); });
+}
+
+void LsmStore::write_outputs(u32 slot) {
+  const auto piece = jobs_[slot].next_piece(jobs_[slot].outputs,
+                                            cfg_.io_chunk_bytes);
+  if (!piece) {
+    install(slot);
+    return;
+  }
+  const Sst& sst = *piece->sst;
+  fs_.set_queue(0);  // background writes stay off the tenant queues
+  fs_.append(sst.file, piece->bytes,
+             sst.id * 1000 + piece->offset / cfg_.io_chunk_bytes,
+             [this, slot](Status) { write_outputs(slot); });
+}
+
+void LsmStore::install(u32 slot) {
+  Job& j = jobs_[slot];
+  const Job::Kind kind = j.kind;
+  if (kind == Job::Kind::kFlush) {
+    levels_[0].push_back(j.outputs[0]);
+    audit_install(j.outputs, levels_);
+    immutable_.reset();
+    flush_running_ = false;
+    // Crash mode archives rotated WAL segments instead of deleting them:
+    // the flush's appends are acked but possibly still in the device
+    // write buffer, so dropping the WAL here is exactly the no-fsync
+    // data-loss window the crash model exists to expose.
+    if (!crash_tracking_ &&
+        rotated_wal_ != fs::FileSystem::kInvalidHandle) {
+      const auto dead = rotated_wal_;
+      rotated_wal_ = fs::FileSystem::kInvalidHandle;
+      wal_seg_bytes_ -= std::min(wal_seg_bytes_, fs_.file_bytes(dead));
+      fs_.remove(dead, [](Status) {});
+    }
+  } else {
+    // The claimed files leave their levels; a move's come back one level
+    // down as its outputs, and a merge deletes them.
+    auto claimed = [&j](const std::shared_ptr<Sst>& s) {
+      return std::find(j.inputs.begin(), j.inputs.end(), s) !=
+             j.inputs.end();
+    };
+    std::erase_if(levels_[j.level], claimed);
+    auto& below = levels_[j.level + 1];
+    std::erase_if(below, claimed);
+    if (kind == Job::Kind::kMove) j.outputs.swap(j.inputs);
+    below.insert(below.end(), j.outputs.begin(), j.outputs.end());
+    std::sort(below.begin(), below.end(), [](const auto& a, const auto& b) {
+      return a->smallest() < b->smallest();
+    });
+    audit_install(j.outputs, levels_);
+    for (auto& o : j.outputs) o->compacting = false;
+    --compactions_inflight_;
+    // A remove's callback does nothing, so no job starts under `j`.
+    for (const auto& s : j.inputs)
+      if (s->file != fs::FileSystem::kInvalidHandle)
+        fs_.remove(s->file, [](Status) {});
+  }
+  if (kind == Job::Kind::kFlush && draining_ && !memtable_.empty() &&
+      !immutable_)
+    rotate_memtable();
   unstall();
   maybe_schedule_compaction();
   maybe_quiesce();
+  // The tail may have started jobs and grown the pool: re-index. The
+  // job's tables die only now, after the tail.
+  Job& done = jobs_[slot];
+  done.inputs.clear();
+  done.outputs.clear();
+  jobs_.release(slot);
 }
 
 // ---------------------------------------------------------------------------
@@ -603,6 +539,7 @@ void LsmStore::power_fail_and_recover(ssd::CrashOutcome& out,
   wal_buffer_bytes_ = 0;
   block_cache_.clear();
   gets_.clear();  // lookups in flight died with their events
+  jobs_.clear();  // and so did flushes and compactions
   rotated_wal_ = fs::FileSystem::kInvalidHandle;
   fg_cpu_.power_cycle(now);
   bg_cpu_.power_cycle(now);

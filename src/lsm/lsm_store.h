@@ -19,6 +19,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -108,6 +110,9 @@ class LsmStore {
   [[nodiscard]] u32 level_file_count(u32 level) const;
   /// Occupancy of the pooled per-lookup state (crash-recovery checks).
   [[nodiscard]] PoolUsage get_pool_usage() const { return gets_.usage(); }
+  /// Occupancy of the pooled flush and compaction jobs (crash-recovery
+  /// checks).
+  [[nodiscard]] PoolUsage job_pool_usage() const { return jobs_.usage(); }
 
   /// Test support: exhaustively locate every stored version of `key`
   /// ("memtable" / "immutable" / "L<n>:sst-<id>" with seq and
@@ -135,19 +140,52 @@ class LsmStore {
   [[nodiscard]] bool stalled() const;
   void unstall();
   void rotate_memtable();
-  void schedule_flush();
-  void finish_flush(std::shared_ptr<Sst> sst);
-  void maybe_schedule_compaction();
-  /// Try to start one job; returns false when nothing is runnable.
-  bool try_start_compaction();
-  void run_compaction(u32 level);
-  void run_compaction_victim(u32 level, std::shared_ptr<Sst> victim);
-  void install_compaction(u32 level, std::vector<std::shared_ptr<Sst>> inputs_lo,
-                          std::vector<std::shared_ptr<Sst>> inputs_hi,
-                          std::vector<std::shared_ptr<Sst>> outputs);
-  void write_ssts_then(std::vector<std::shared_ptr<Sst>> ssts,
-                       std::function<void()> done);
   void maybe_quiesce();
+
+  // background work
+  /// A flush, merge or trivial move from its start to its install. A job
+  /// reads its inputs in io_chunk_bytes pieces (a flush has none),
+  /// computes on the background CPU (a flush builds the immutable
+  /// memtable's table, a merge merges its inputs), appends its outputs
+  /// and installs them: a flush into L0, a merge into level + 1. A move
+  /// installs its inputs one level down at once. Every closure on a job's
+  /// path captures {this, slot}.
+  struct Job {
+    enum class Kind : u8 { kFlush, kMerge, kMove };
+    Kind kind = Kind::kFlush;
+    u32 level = 0;  // the level a merge or move takes files from
+    /// The files the job claimed: the level's, then their overlap below.
+    std::vector<std::shared_ptr<Sst>> inputs;
+    std::vector<std::shared_ptr<Sst>> outputs;
+    /// A cursor over the inputs, then over the outputs; at the start of
+    /// a list whenever the job is between phases or the record is free.
+    size_t file = 0;  // the file being read or written
+    u64 done_bytes = 0;  // bytes of it read or written
+
+    /// `bytes` of `sst` at `offset`: one read or append.
+    struct Piece {
+      const Sst* sst;
+      u64 offset;
+      u64 bytes;
+    };
+    /// The piece of at most `chunk_bytes` at the cursor over `files`,
+    /// which moves past it; none once every file is done, and the cursor
+    /// rewinds for the next list.
+    std::optional<Piece> next_piece(
+        const std::vector<std::shared_ptr<Sst>>& files, u64 chunk_bytes);
+  };
+  void schedule_flush();
+  void maybe_schedule_compaction();
+  /// Try to start one compaction; returns false when nothing is runnable.
+  bool try_start_compaction();
+  /// Claim `files` of `level` and their overlap in level + 1, then move
+  /// them down or merge them.
+  void start_compaction(u32 level,
+                        std::span<const std::shared_ptr<Sst>> files);
+  void read_inputs(u32 slot);
+  void compute_outputs(u32 slot);
+  void write_outputs(u32 slot);
+  void install(u32 slot);
 
   // read path
   /// A lookup past the memtables: it probes `candidates` newest first,
@@ -167,9 +205,6 @@ class LsmStore {
   void get_from_ssts(u32 slot);
   void finish_get(u32 slot);
 
-  [[nodiscard]] u64 memtable_bytes(const Memtable& /*mt*/) const {
-    return mt_bytes_;
-  }
   [[nodiscard]] u64 level_bytes(u32 level) const;
   [[nodiscard]] u64 level_target(u32 level) const;
 
@@ -229,6 +264,7 @@ class LsmStore {
   std::vector<std::vector<std::shared_ptr<Sst>>> levels_;
   std::vector<u32> compact_rr_;  // round-robin pick per level
 
+  SlotPool<Job> jobs_;
   bool flush_running_ = false;
   u32 compactions_inflight_ = 0;
   std::deque<PendingWrite> stalled_writes_;

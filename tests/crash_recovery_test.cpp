@@ -429,6 +429,46 @@ TEST(CrashRecovery, PowerLossReleasesPooledReadStateOnLsmBed) {
                      bed->ftl().read_pool_usage());
 }
 
+// A cut abandons the flushes and compactions in flight too. Their jobs
+// must die with them, or every cut would strand a job and the tables it
+// holds for good; after the mount the store flushes and compacts again.
+TEST(CrashRecovery, PowerLossReleasesLsmJobs) {
+  auto bed = std::unique_ptr<LsmBed>(
+      static_cast<LsmBed*>(make_bed(kLsm).release()));
+  const lsm::LsmStore& store = bed->store();
+  Rng rng(5);
+  auto put = [&] {
+    const u64 k = rng.below(600);
+    bed->store(wl::make_key(k, kKeyBytes), ValueDesc{kValueBytes, k + 1},
+               [](Status) {});
+  };
+  // Cut in the step that starts the first merge (moves install at once).
+  bool cut = false;
+  for (u64 i = 0; i < 4000 && !cut; ++i) {
+    put();
+    while (!cut && bed->eq().step()) {
+      if (store.compactions_run() == store.trivial_moves()) continue;
+      EXPECT_GT(store.job_pool_usage().live, 0u);
+      bed->simulate_crash();
+      cut = true;
+    }
+  }
+  ASSERT_TRUE(cut) << "no merge started";
+  EXPECT_EQ(store.job_pool_usage().live, 0u);
+
+  const u64 flushes = store.flushes_run();
+  const u64 compactions = store.compactions_run();
+  for (u64 i = 0; i < 1000; ++i) put();
+  bed->eq().run();
+  bool drained = false;
+  bed->drain([&drained] { drained = true; });
+  bed->eq().run();
+  EXPECT_TRUE(drained);
+  EXPECT_GT(store.flushes_run(), flushes);
+  EXPECT_GT(store.compactions_run(), compactions);
+  EXPECT_EQ(store.job_pool_usage().live, 0u);
+}
+
 // The KV API and the KV-FTL each keep a command's state in a pooled
 // record; stores hold theirs from arrival to commit.
 TEST(CrashRecovery, PowerLossReleasesPooledCommandStateOnKvssdBed) {

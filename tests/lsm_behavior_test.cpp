@@ -34,6 +34,12 @@ struct Bed {
     bed.eq().run();
     return out;
   }
+  Status del(const std::string& k) {
+    Status out = Status::kIoError;
+    bed.remove(k, [&](Status s) { out = s; });
+    bed.eq().run();
+    return out;
+  }
   std::pair<Status, ValueDesc> get(const std::string& k) {
     std::pair<Status, ValueDesc> out{Status::kIoError, {}};
     bed.retrieve(k, [&](Status s, ValueDesc v) { out = {s, v}; });
@@ -159,6 +165,33 @@ TEST(LsmBehavior, TombstonesEventuallyCompactAway) {
   b.drain();
   for (u64 i = 0; i < 2000; i += 101)
     EXPECT_EQ(b.get(wl::make_key(i, 12)).first, Status::kNotFound) << i;
+}
+
+// Four overlapping L0 files whose tombstones delete every key they hold
+// merge into no table at all, with nothing below them. The merge must
+// still install: its inputs leave L0, and L1 stays empty. (Installed as
+// a trivial move instead, the four files would land in L1 overlapping,
+// and a lookup, which reads only the first L1 file that covers its key,
+// would find deleted values.)
+TEST(LsmBehavior, FullyDeletedL0CompactsToNothing) {
+  Bed b;
+  auto wave = [&b](u64 first, bool put) {
+    for (u64 i = first; i < 400; i += 2) {
+      const std::string k = wl::make_key(i, 12);
+      EXPECT_EQ(put ? b.put(k, 512, i) : b.del(k), Status::kOk) << i;
+    }
+    b.drain();  // each wave flushes one L0 file
+  };
+  wave(0, true);   // the even keys
+  wave(1, true);   // the odd keys
+  wave(0, false);  // delete the even keys
+  wave(1, false);  // delete the odd keys: the fourth file starts a merge
+  EXPECT_EQ(b.bed.store().level_file_count(0), 0u);
+  EXPECT_EQ(b.bed.store().level_file_count(1), 0u);
+  u32 found = 0;
+  for (u64 i = 0; i < 400; ++i)
+    found += b.get(wl::make_key(i, 12)).first != Status::kNotFound;
+  EXPECT_EQ(found, 0u) << "deleted keys read back";
 }
 
 }  // namespace
