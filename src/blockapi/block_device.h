@@ -2,8 +2,6 @@
 // (direct I/O — no page cache, matching the paper's methodology).
 #pragma once
 
-#include <functional>
-
 #include "blockftl/block_ftl.h"
 #include "common/slot_pool.h"
 #include "nvme/nvme_link.h"
@@ -69,7 +67,7 @@ class BlockDevice {
     return cmds_.usage();
   }
 
-  void flush(std::function<void()> done) { ftl_.flush(std::move(done)); }
+  void flush(sim::Task done) { ftl_.flush(std::move(done)); }
 
   [[nodiscard]] u64 capacity_bytes() const { return ftl_.exported_bytes(); }
   [[nodiscard]] u64 host_cpu_ns() const {

@@ -111,14 +111,15 @@ void FileSystem::free_extent(const Extent& e) {
   }
 }
 
-void FileSystem::charge_meta(u32 ops, std::function<void()> then) {
+void FileSystem::charge_meta(u32 ops, sim::Task then) {
   cpu_ns_ += (u64)ops * cfg_.meta_cpu_ns;
   meta_ops_since_journal_ += ops;
   if (meta_ops_since_journal_ >= cfg_.journal_every_ops) {
     meta_ops_since_journal_ = 0;
     ++journal_writes_;
     dev_.write(lba_of_block(journal_block_), cfg_.block_bytes,
-               journal_writes_, [then = std::move(then)](Status) { then(); });
+               journal_writes_,
+               [then = std::move(then)](Status) mutable { then(); });
   } else {
     eq_.schedule_after(0, std::move(then));
   }

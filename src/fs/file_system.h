@@ -9,7 +9,6 @@
 // pattern LSM stores generate); random reads address (offset, length).
 #pragma once
 
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -125,7 +124,7 @@ class FileSystem {
   /// may be shorter than requested (caller loops).
   bool allocate_extent(u64 blocks, Extent& out);
   void free_extent(const Extent& e);
-  void charge_meta(u32 ops, std::function<void()> then);
+  void charge_meta(u32 ops, sim::Task then);
   [[nodiscard]] Lba lba_of_block(u64 fs_block) const {
     return fs_block * (cfg_.block_bytes / 512);
   }

@@ -103,31 +103,29 @@ void KvsDevice::finish(u32 slot) {
 void KvsDevice::delete_namespace(u8 nsid,
                                  std::function<void(u64 removed)> done) {
   // Snapshot every key of the namespace, then delete them one by one.
-  auto keys = std::make_shared<std::vector<std::string>>();
+  auto del = std::make_unique<NsDelete>();
+  del->nsid = nsid;
+  del->done = std::move(done);
   for (u32 bucket : ftl_.iterator_bucket_ids_of(nsid))
     for (auto& k : ftl_.snapshot_bucket(bucket))
-      keys->push_back(std::move(k));
-  auto removed = std::make_shared<u64>(0);
-  auto idx = std::make_shared<size_t>(0);
-  auto step = std::make_shared<std::function<void()>>();
-  // Self-capture must be weak or the closure keeps itself alive forever;
-  // each pending remove callback holds the strong reference instead.
-  *step = [this, nsid, keys, removed, idx,
-           wstep = std::weak_ptr<std::function<void()>>(step),
-           done = std::move(done)]() mutable {
-    if (*idx >= keys->size()) {
-      done(*removed);
-      return;
-    }
-    const std::string key = (*keys)[(*idx)++];
-    remove(key,
-           [removed, step = wstep.lock()](Status s) {
-             if (s == Status::kOk) ++*removed;
-             (*step)();
-           },
-           nsid);
-  };
-  (*step)();
+      del->keys.push_back(std::move(k));
+  delete_next(std::move(del));
+}
+
+void KvsDevice::delete_next(std::unique_ptr<NsDelete> del) {
+  if (del->next == del->keys.size()) {
+    del->done(del->removed);
+    return;
+  }
+  // `key` lives in *del, which the callback owns until the remove ends.
+  const std::string& key = del->keys[del->next++];
+  const u8 nsid = del->nsid;
+  remove(key,
+         [this, del = std::move(del)](Status s) mutable {
+           if (s == Status::kOk) ++del->removed;
+           delete_next(std::move(del));
+         },
+         nsid);
 }
 
 }  // namespace kvsim::kvapi

@@ -8,7 +8,10 @@
 #pragma once
 
 #include <functional>
+#include <memory>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/inline_key.h"
 #include "common/slot_pool.h"
@@ -99,6 +102,18 @@ class KvsDevice {
     u8 nsid = 0;
     u32 qid = 0;
   };
+
+  /// A delete_namespace in progress: the namespace's keys as the call
+  /// found them, removed one at a time. Each remove's callback owns the
+  /// record and hands it to the next.
+  struct NsDelete {
+    u8 nsid = 0;
+    std::vector<std::string> keys;
+    size_t next = 0;  // the next key to remove
+    u64 removed = 0;
+    std::function<void(u64 removed)> done;
+  };
+  void delete_next(std::unique_ptr<NsDelete> del);
 
   /// Charge the API call and open a record for `key`.
   u32 start(std::string_view key, u8 nsid, u32 qid);
