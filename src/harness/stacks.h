@@ -369,9 +369,13 @@ struct LsmBedConfig {
 };
 
 /// No device namespaces on the block path: keyspaces are tagged keys, and
-/// the tenant's queue is a sticky hint on the block device, so I/O the
-/// store issues while serving an op (flushes and compactions it triggers
-/// included) rides the tenant's SQ.
+/// the tenant's queue is a sticky hint on the block device:
+///  - an op's get reads, and the WAL appends written while serving it,
+///    ride its tenant's SQ;
+///  - SST appends and compaction reads ride queue 0 (the store sets it
+///    before each);
+///  - the TRIMs and journal writes of the files an install deletes run in
+///    a completion event, so they ride whichever queue the latest op set.
 class LsmBed final : public Bed<blockftl::BlockFtl, blockapi::BlockDevice> {
  public:
   KVSIM_THREAD_CONFINED;
@@ -418,7 +422,8 @@ struct HashKvBedConfig {
   bool crash_tracking = false;
 };
 
-/// Same host-side tenancy as LsmBed, over direct I/O.
+/// Same host-side tenancy as LsmBed, over direct I/O. The store's flushes
+/// and defrag I/O ride whichever queue the latest op set.
 class HashKvBed final : public Bed<blockftl::BlockFtl, blockapi::BlockDevice> {
  public:
   KVSIM_THREAD_CONFINED;
