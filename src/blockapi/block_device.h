@@ -91,6 +91,7 @@ class BlockDevice {
   };
 
   u32 start(Lba lba, u64 bytes, u64 fp_base, Done done, ReadDone read_done) {
+    ftl_.prefetch(lba);
     api_cpu_ns_ += cfg_.syscall_ns;
     const u32 slot = cmds_.acquire();
     Cmd& c = cmds_[slot];

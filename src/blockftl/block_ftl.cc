@@ -30,9 +30,8 @@ BlockFtl::BlockFtl(sim::EventQueue& eq, flash::FlashController& flash,
   const u64 total_slots = geom_.total_pages() * slots_per_page();
   total_slots_exported_ =
       (u64)((double)total_slots * (1.0 - dev.overprovision));
-  map_.assign(total_slots_exported_, kUnmapped);
+  map_.assign(total_slots_exported_, {kUnmapped, 0});
   rmap_.assign(total_slots, kUnmapped);
-  content_.assign(total_slots, 0);
   wps_.resize(cfg_.write_points);
   for (auto& wp : wps_) add_write_point(wp);
   add_write_point(gc_wp_);
@@ -75,8 +74,8 @@ void BlockFtl::write(Lba lba, u32 bytes, u64 fp_base, Done done) {
   flash::PageId rmw_pages[2];
   u32 n_rmw = 0;
   auto need_rmw = [&](u64 lpn) {
-    if (map_[lpn] == kUnmapped) return;
-    const flash::PageId p = map_[lpn] / slots_per_page();
+    if (map_[lpn].gsi == kUnmapped) return;
+    const flash::PageId p = map_[lpn].gsi / slots_per_page();
     if (read_cache_.contains(p) || buffered_pages_[p]) return;
     if (n_rmw == 0 || rmw_pages[0] != p) rmw_pages[n_rmw++] = p;
   };
@@ -157,9 +156,8 @@ bool BlockFtl::append_slot(WritePoint& wp, u64 lpn, u64 fp, bool seq,
   const flash::PageId page = geom_.page_id(*wp.block, wp.next_page);
   const u32 slot = wp.used;
   const u64 gsi = slot_index(page, slot);
-  map_[lpn] = gsi;
+  map_[lpn] = {gsi, fp};
   rmap_[gsi] = lpn;
-  content_[gsi] = fp;
   if (map_audit_) map_audit_->on_map(lpn, gsi);
   if (crash_tracking_)
     wp.staged.push_back(flash::OobEntry{lpn, fp, slot, ++write_seq_});
@@ -193,10 +191,10 @@ void BlockFtl::arm_flush_timer(WritePoint& wp) {
 }
 
 void BlockFtl::invalidate(u64 lpn, bool by_host) {
-  const u64 old = map_[lpn];
+  const u64 old = map_[lpn].gsi;
   if (old == kUnmapped) return;
   if (map_audit_) map_audit_->on_unmap(lpn, old);
-  map_[lpn] = kUnmapped;
+  map_[lpn].gsi = kUnmapped;
   rmap_[old] = kUnmapped;
   --valid_units_[old / slots_per_page() / geom_.pages_per_block];
   --live_slots_;
@@ -236,10 +234,10 @@ void BlockFtl::read(Lba lba, u32 bytes, ReadDone done) {
     // An acked write still waiting for a block answers from the write
     // buffer, as a cache hit; the map still holds the older copy.
     const Starved* queued = starved_writes_ ? queued_write(lpn) : nullptr;
-    const u64 gsi = map_[lpn];
-    if (!queued && gsi == kUnmapped) continue;  // unwritten reads as zeros
-    fp ^= queued ? queued->fp : content_[gsi];
-    const flash::PageId p = gsi / slots_per_page();
+    const ssd::SlotMapEntry m = map_[lpn];
+    if (!queued && m.gsi == kUnmapped) continue;  // unwritten reads as zeros
+    fp ^= queued ? queued->fp : m.fp;
+    const flash::PageId p = m.gsi / slots_per_page();
     ++cache_lookups_;
     if (queued || read_cache_.touch(p) || buffered_pages_[p]) {
       ++cache_hits_;
@@ -259,17 +257,21 @@ void BlockFtl::read(Lba lba, u32 bytes, ReadDone done) {
 
   // Miss pages batch into one die-op, charged in first-seen order: one
   // completion event feeds the DRAM cache and releases the host command.
-  const u32 nbatch = (u32)r.fetched.size();
-  r.remaining = (nbatch ? 1 : 0) + 1;
+  // The CPU slot's arrival is an event only when it ends after the batch.
   r.st = Status::kOk;
   r.fp = fp;
   r.done = std::move(done);
-  eq_.schedule_at(cpu_done, [this, slot] { read_arrive(slot); });
-  if (nbatch)
-    flash_.read_multi(r.fetched.data(), nbatch,
-                      [this, slot](flash::OpStatus st, flash::PageId bad) {
-                        read_fetched(slot, st, bad);
-                      });
+  const bool fetch = !r.fetched.empty();
+  const TimeNs fetched_at =
+      fetch ? flash_.read_multi(
+                  r.fetched.data(), (u32)r.fetched.size(),
+                  [this, slot](flash::OpStatus st, flash::PageId bad) {
+                    read_fetched(slot, st, bad);
+                  })
+            : 0;
+  const bool cpu_last = !fetch || cpu_done > fetched_at;
+  r.remaining = (fetch ? 1 : 0) + (cpu_last ? 1 : 0);
+  if (cpu_last) eq_.schedule_at(cpu_done, [this, slot] { read_arrive(slot); });
 
   // Sequential reads prefetch the next page into the cache.
   if (read_streak_ >= cfg_.seq_run_threshold) maybe_readahead(last + 1);
@@ -294,8 +296,8 @@ void BlockFtl::read_arrive(u32 slot) {
 }
 
 void BlockFtl::maybe_readahead(u64 next_lpn) {
-  if (next_lpn >= map_.size() || map_[next_lpn] == kUnmapped) return;
-  const flash::PageId p = map_[next_lpn] / slots_per_page();
+  if (next_lpn >= map_.size() || map_[next_lpn].gsi == kUnmapped) return;
+  const flash::PageId p = map_[next_lpn].gsi / slots_per_page();
   if (read_cache_.contains(p) || buffered_pages_[p]) return;
   read_cache_.insert(p);  // reserve the slot up-front so we don't double-fetch
   flash_.read_page(p, geom_.page_bytes, [] {});
@@ -365,7 +367,7 @@ void BlockFtl::gc_migrate(flash::BlockId victim) {
       const u64 gsi = slot_index(p, s);
       const u64 lpn = rmap_[gsi];
       if (lpn == kUnmapped) continue;
-      const u64 fp = content_[gsi];
+      const u64 fp = map_[lpn].fp;
       ++stats_.gc_migrated_units;
       stats_.gc_migrated_bytes += cfg_.logical_page_bytes;
       if (!append_slot(gc_wp_, lpn, fp, false, /*is_gc=*/true))
@@ -377,7 +379,7 @@ void BlockFtl::gc_migrate(flash::BlockId victim) {
 void BlockFtl::on_block_freed() {
   while (!recovery_starved_.empty()) {
     const Starved s = recovery_starved_.front();
-    if (map_[s.lpn] != kUnmapped) {
+    if (map_[s.lpn].gsi != kUnmapped) {
       // A newer host write (or recovery pass) superseded the queued
       // copy while it waited; restoring it would resurrect stale data.
       recovery_starved_.pop_front();
@@ -402,12 +404,6 @@ void BlockFtl::on_block_freed() {
 
 void BlockFtl::power_fail_and_recover(ssd::CrashOutcome& out,
                                       sim::Task done) {
-  // Snapshot the pre-cut host-visible map so the lost-write window can be
-  // measured after the rebuild.
-  std::vector<std::pair<u64, u64>> pre;  // (lpn, fp)
-  for (u64 lpn = 0; lpn < map_.size(); ++lpn)
-    if (map_[lpn] != kUnmapped) pre.emplace_back(lpn, content_[map_[lpn]]);
-
   // Cut power at the media: in-flight programs tear (their OOB vanishes),
   // die/channel pipelines drain, and the serialized firmware CPU resets.
   const PowerCut cut = cut_power();
@@ -428,9 +424,10 @@ void BlockFtl::power_fail_and_recover(ssd::CrashOutcome& out,
   write_streak_ = 0;
   last_read_lpn_ = ~0ull - 1;
   read_streak_ = 0;
-  std::fill(map_.begin(), map_.end(), kUnmapped);
+  // The pre-cut host-visible map measures the lost-write window below.
+  std::vector<ssd::SlotMapEntry> pre(map_.size(), {kUnmapped, 0});
+  pre.swap(map_);
   std::fill(rmap_.begin(), rmap_.end(), kUnmapped);
-  std::fill(content_.begin(), content_.end(), 0);
   live_slots_ = 0;
 
   // Rebuild the map from committed OOB. Pages are walked in epoch order
@@ -447,23 +444,24 @@ void BlockFtl::power_fail_and_recover(ssd::CrashOutcome& out,
       const u64 gsi = slot_index(p, (u32)e.a);
       auto it = best_seq.find(lpn);
       if (it != best_seq.end() && it->second > e.b) continue;
-      if (map_[lpn] != kUnmapped) {  // older copy loses; its slot is waste
-        const u64 old = map_[lpn];
+      if (map_[lpn].gsi != kUnmapped) {  // older copy loses; its slot is waste
+        const u64 old = map_[lpn].gsi;
         rmap_[old] = kUnmapped;
         --valid_units_[old / spp / geom_.pages_per_block];
         --live_slots_;
       }
       best_seq[lpn] = e.b;
-      map_[lpn] = gsi;
+      map_[lpn] = {gsi, e.fp};
       rmap_[gsi] = lpn;
-      content_[gsi] = e.fp;
       ++valid_units_[gsi / spp / geom_.pages_per_block];
       ++live_slots_;
     }
   }
   out.recovered_units = live_slots_;
-  for (const auto& [lpn, fp] : pre)
-    if (map_[lpn] == kUnmapped || content_[map_[lpn]] != fp) ++out.lost_units;
+  for (u64 lpn = 0; lpn < pre.size(); ++lpn)
+    if (pre[lpn].gsi != kUnmapped &&
+        (map_[lpn].gsi == kUnmapped || map_[lpn].fp != pre[lpn].fp))
+      ++out.lost_units;
 
 #if KVSIM_AUDIT
   // The slot-map shadow is firmware DRAM state: it died with the power and
@@ -472,7 +470,7 @@ void BlockFtl::power_fail_and_recover(ssd::CrashOutcome& out,
   map_audit_ = std::make_unique<ssd::SlotMapAudit>(
       geom_.total_blocks(), geom_.pages_per_block * slots_per_page());
   for (u64 lpn = 0; lpn < map_.size(); ++lpn)
-    if (map_[lpn] != kUnmapped) map_audit_->on_map(lpn, map_[lpn]);
+    if (map_[lpn].gsi != kUnmapped) map_audit_->on_map(lpn, map_[lpn].gsi);
 #endif
 
   // Mount: one small OOB read per page, plus firmware time to replay the
@@ -498,8 +496,8 @@ u64 BlockFtl::probe_durable_slots(Lba lba, u32 bytes, u64 fp_base) const {
   if (last >= map_.size()) return 0;
   u64 ok = 0;
   for (u64 i = 0; i <= last - first; ++i) {
-    const u64 gsi = map_[first + i];
-    if (gsi != kUnmapped && content_[gsi] == mix64(fp_base + i)) ++ok;
+    const ssd::SlotMapEntry m = map_[first + i];
+    if (m.gsi != kUnmapped && m.fp == mix64(fp_base + i)) ++ok;
   }
   return ok;
 }
@@ -513,7 +511,7 @@ void BlockFtl::relocate_page(flash::PageId p) {
     const u64 gsi = slot_index(p, s);
     const u64 lpn = rmap_[gsi];
     if (lpn == kUnmapped) continue;
-    const u64 fp = content_[gsi];
+    const u64 fp = map_[lpn].fp;
     ++stats_.remapped_units;
     if (!append_slot(gc_wp_, lpn, fp, false, /*is_gc=*/true)) {
       // No block anywhere (even the reserve is gone): hold the rebuilt

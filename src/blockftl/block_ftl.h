@@ -72,6 +72,13 @@ class BlockFtl final : public ssd::FtlCore {
   /// Read `bytes` at sector address `lba`.
   void read(Lba lba, u32 bytes, ReadDone done);
 
+  /// Host-speed hint, no simulated effect: load the map entry of sector
+  /// `lba` into the host cache before its command reaches the FTL.
+  void prefetch(Lba lba) const {
+    const u64 lpn = lba * 512 / cfg_.logical_page_bytes;
+    if (lpn < map_.size()) __builtin_prefetch(&map_[lpn]);
+  }
+
   /// Invalidate every fully-covered slot in [lba, lba + bytes).
   void trim(Lba lba, u64 bytes, Done done);
 
@@ -167,7 +174,7 @@ class BlockFtl final : public ssd::FtlCore {
   /// A host read in flight: the join of its firmware-CPU slot and its
   /// batched flash fetch, and the pages that fetch feeds to the cache.
   struct PendingRead {
-    u32 remaining = 0;  // arrivals left: CPU slot, plus the fetch if any
+    u32 remaining = 0;  // arrivals left: the fetch and/or the CPU slot
     Status st = Status::kOk;
     u64 fp = 0;
     ReadDone done;
@@ -202,9 +209,8 @@ class BlockFtl final : public ssd::FtlCore {
   u64 total_slots_exported_ = 0;
   u64 live_slots_ = 0;
 
-  std::vector<u64> map_;          // lpn -> global slot index (or kUnmapped)
-  std::vector<u64> rmap_;         // global slot index -> lpn (or kUnmapped)
-  std::vector<u64> content_;      // global slot index -> fingerprint
+  std::vector<ssd::SlotMapEntry> map_;  // lpn -> {global slot index, fp}
+  std::vector<u64> rmap_;  // global slot index -> lpn (or kUnmapped)
 
   std::vector<WritePoint> wps_;
   u32 wp_rr_ = 0;

@@ -147,12 +147,13 @@ class FlashController {
   /// `done` runs once, when the slowest page completes. Pages may span
   /// dies and channels. `count == 0` completes on the current tick.
   /// A status-aware `done` receives the worst per-page status and the
-  /// first page that produced it (meaningful only on error).
+  /// first page that produced it (meaningful only on error). Returns the
+  /// time the completion event is scheduled at.
   template <typename F>
-  void read_multi(const PageRead* pages, u32 count, F&& done) {
+  TimeNs read_multi(const PageRead* pages, u32 count, F&& done) {
     if (count == 0) {
       complete_multi(eq_.now(), OpStatus::kOk, 0, std::forward<F>(done));
-      return;
+      return eq_.now();
     }
     // Charge pages in array order so retry draws, reservation order, and
     // stage samples match count separate read_page calls exactly; the only
@@ -169,6 +170,7 @@ class FlashController {
       }
     }
     complete_multi(latest, worst, bad, std::forward<F>(done));
+    return latest;
   }
 
   /// Program a full page holding `bytes` of payload.

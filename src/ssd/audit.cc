@@ -97,7 +97,8 @@ void SlotMapAudit::on_unmap(u64 lpn, u64 gsi) {
   --block_live_[gsi / slots_per_block_];
 }
 
-void SlotMapAudit::verify(const std::vector<u64>& map, u64 unmapped_sentinel,
+void SlotMapAudit::verify(const std::vector<SlotMapEntry>& map,
+                          u64 unmapped_sentinel,
                           const std::vector<u32>& valid_count,
                           u64 live_slots) const {
   if (live_slots != lpn_to_slot_.size())
@@ -106,16 +107,16 @@ void SlotMapAudit::verify(const std::vector<u64>& map, u64 unmapped_sentinel,
                                std::to_string(lpn_to_slot_.size()));
   u64 mapped = 0;
   for (u64 lpn = 0; lpn < map.size(); ++lpn) {
-    if (map[lpn] == unmapped_sentinel) continue;
+    if (map[lpn].gsi == unmapped_sentinel) continue;
     ++mapped;
     auto it = lpn_to_slot_.find(lpn);
     if (it == lpn_to_slot_.end())
       audit_fail("blockftl", "map entry for lpn " + std::to_string(lpn) +
                                  " has no shadow counterpart");
-    if (it->second != map[lpn])
+    if (it->second != map[lpn].gsi)
       audit_fail("blockftl",
                  "lpn " + std::to_string(lpn) + " maps to slot " +
-                     std::to_string(map[lpn]) + " but the shadow says " +
+                     std::to_string(map[lpn].gsi) + " but the shadow says " +
                      std::to_string(it->second));
   }
   if (mapped != lpn_to_slot_.size())

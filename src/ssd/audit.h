@@ -86,6 +86,13 @@ class FlashAudit final : public flash::FlashAuditSink {
   std::vector<u8> exempt_;
 };
 
+/// A block-FTL map entry: the global flash slot an LPN maps to (or the
+/// unmapped sentinel) and the fingerprint stored there.
+struct SlotMapEntry {
+  u64 gsi = 0;
+  u64 fp = 0;
+};
+
 /// Shadow of the block FTL's logical-to-physical slot map.
 class SlotMapAudit {
  public:
@@ -99,9 +106,9 @@ class SlotMapAudit {
   void on_unmap(u64 lpn, u64 gsi);
 
   /// Cross-check the FTL's own structures against the shadow:
-  /// `map[lpn] == sentinel` marks unmapped entries; `valid_count[b]` is
-  /// the FTL's incremental per-block live-slot counter.
-  void verify(const std::vector<u64>& map, u64 unmapped_sentinel,
+  /// `map[lpn].gsi == sentinel` marks unmapped entries; `valid_count[b]`
+  /// is the FTL's incremental per-block live-slot counter.
+  void verify(const std::vector<SlotMapEntry>& map, u64 unmapped_sentinel,
               const std::vector<u32>& valid_count, u64 live_slots) const;
 
   [[nodiscard]] u64 mapped_slots() const { return lpn_to_slot_.size(); }

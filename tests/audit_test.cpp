@@ -137,19 +137,19 @@ TEST(SlotMapAudit, DetectsMismatchedUnmap) {
 
 TEST(SlotMapAudit, VerifyCrossChecksMapAndCounters) {
   ssd::SlotMapAudit a(2, 4);
-  std::vector<u64> map(8, ~0ull);
+  std::vector<ssd::SlotMapEntry> map(8, {~0ull, 0});
   std::vector<u32> valid(2, 0);
   a.on_map(0, 5);
-  map[0] = 5;
+  map[0] = {5, 42};
   valid[1] = 1;
   a.verify(map, ~0ull, valid, /*live_slots=*/1);  // consistent
 
   // Seeded violations, each against a fresh copy of the honest state:
   auto bad_map = map;
-  bad_map[0] = 6;  // FTL map diverged from the shadow
+  bad_map[0].gsi = 6;  // FTL map diverged from the shadow
   EXPECT_THROW(a.verify(bad_map, ~0ull, valid, 1), ssd::AuditFailure);
   bad_map = map;
-  bad_map[3] = 7;  // mapping the shadow never saw
+  bad_map[3].gsi = 7;  // mapping the shadow never saw
   EXPECT_THROW(a.verify(bad_map, ~0ull, valid, 2), ssd::AuditFailure);
   auto bad_valid = valid;
   bad_valid[1] = 2;  // stale per-block counter

@@ -286,5 +286,72 @@ TEST(BlockFtl, FlushSealsPartialPages) {
   EXPECT_EQ(fp, mix64(1));
 }
 
+// A read that misses the DRAM cache joins its firmware-CPU slot and its
+// flash fetch. With the CPU idle the fetch ends last, and its completion
+// is the read's only event.
+TEST(BlockFtl, ColdReadOnIdleCpuRunsOneEvent) {
+  Bed bed;
+  ASSERT_EQ(bed.write(0, k4K, 5), Status::kOk);
+  bed.flush();
+  const u64 events0 = bed.eq.events_processed();
+  const TimeNs t0 = bed.eq.now();
+  TimeNs done_at = 0;
+  u64 got = 0;
+  bed.ftl.read(0, k4K, [&](Status s, u64 fp) {
+    EXPECT_EQ(s, Status::kOk);
+    got = fp;
+    done_at = bed.eq.now();
+  });
+  bed.eq.run();
+  EXPECT_EQ(got, mix64(5));
+  EXPECT_EQ(bed.eq.events_processed() - events0, 1u);
+  const flash::FlashTiming& ft = bed.dev.timing;
+  EXPECT_EQ(done_at, t0 + ft.read_page_ns + ft.transfer_ns(k4K));
+  EXPECT_EQ(bed.ftl.cache_hits(), 0u);
+}
+
+// With the firmware CPU backed up past the fetch, the read completes when
+// its CPU slot ends, and the fetched page is in the DRAM cache from the
+// fetch's completion on.
+TEST(BlockFtl, ColdReadBehindBusyCpuCompletesAtItsCpuSlot) {
+  Bed bed;
+  ASSERT_EQ(bed.write(0, k4K, 5), Status::kOk);
+  bed.flush();
+  const TimeNs t0 = bed.eq.now();
+  // TRIMs of slots nothing wrote, issued at one instant, queue on the CPU.
+  constexpr u32 kTrims = 100;
+  const BlockFtlConfig cfg;
+  for (u32 i = 0; i < kTrims; ++i)
+    bed.ftl.trim(lba_of_slot(1000 + i), k4K, [](Status) {});
+  TimeNs first_at = 0;
+  bed.ftl.read(0, k4K, [&](Status s, u64 fp) {
+    EXPECT_EQ(s, Status::kOk);
+    EXPECT_EQ(fp, mix64(5));
+    first_at = bed.eq.now();
+  });
+  const flash::FlashTiming& ft = bed.dev.timing;
+  const TimeNs fetched = t0 + ft.read_page_ns + ft.transfer_ns(k4K);
+  const TimeNs cpu_end =
+      t0 + kTrims * cfg.trim_ns + bed.dev.firmware_dispatch_ns;
+  ASSERT_GT(cpu_end, fetched + 10 * kUs);
+
+  // Between the fetch's completion and the slot's end, the same page hits.
+  bed.eq.run_until(fetched + 5 * kUs);
+  EXPECT_EQ(first_at, 0);
+  const u64 hits0 = bed.ftl.cache_hits(), lookups0 = bed.ftl.cache_lookups();
+  TimeNs second_at = 0;
+  bed.ftl.read(0, k4K, [&](Status s, u64 fp) {
+    EXPECT_EQ(s, Status::kOk);
+    EXPECT_EQ(fp, mix64(5));
+    second_at = bed.eq.now();
+  });
+  EXPECT_EQ(bed.ftl.cache_hits() - hits0, 1u);
+  EXPECT_EQ(bed.ftl.cache_lookups() - lookups0, 1u);
+  bed.eq.run();
+  EXPECT_EQ(first_at, cpu_end);
+  EXPECT_EQ(second_at,
+            cpu_end + bed.dev.firmware_dispatch_ns + cfg.cache_hit_ns);
+}
+
 }  // namespace
 }  // namespace kvsim::blockftl
