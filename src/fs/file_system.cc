@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "sim/join.h"
-
 namespace kvsim::fs {
 
 namespace {
@@ -111,7 +109,7 @@ void FileSystem::free_extent(const Extent& e) {
   }
 }
 
-void FileSystem::charge_meta(u32 ops, sim::Task then) {
+void FileSystem::charge_meta(u32 ops, std::shared_ptr<sim::Join> join) {
   cpu_ns_ += (u64)ops * cfg_.meta_cpu_ns;
   meta_ops_since_journal_ += ops;
   if (meta_ops_since_journal_ >= cfg_.journal_every_ops) {
@@ -119,9 +117,9 @@ void FileSystem::charge_meta(u32 ops, sim::Task then) {
     ++journal_writes_;
     dev_.write(lba_of_block(journal_block_), cfg_.block_bytes,
                journal_writes_,
-               [then = std::move(then)](Status) mutable { then(); });
+               [join = std::move(join)](Status) { join->arrive(); });
   } else {
-    eq_.schedule_after(0, std::move(then));
+    eq_.schedule_after(0, [join = std::move(join)] { join->arrive(); });
   }
 }
 
@@ -176,7 +174,7 @@ void FileSystem::append(Handle h, u64 bytes, u64 fp_base, Done done) {
                [join](Status s) { join->arrive(s); });
     fp += e.block_count;
   }
-  charge_meta(1, [join] { join->arrive(); });
+  charge_meta(1, std::move(join));
 }
 
 void FileSystem::read(Handle h, u64 offset, u64 bytes, ReadDone done) {
@@ -289,7 +287,7 @@ void FileSystem::remove(Handle h, Done done) {
     dev_.trim(lba_of_block(e.start_block), e.block_count * cfg_.block_bytes,
               [join](Status s) { join->arrive(s); });
   }
-  charge_meta(1, [join] { join->arrive(); });
+  charge_meta(1, std::move(join));
 }
 
 }  // namespace kvsim::fs

@@ -9,11 +9,13 @@
 // pattern LSM stores generate); random reads address (offset, length).
 #pragma once
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "blockapi/block_device.h"
+#include "sim/join.h"
 #include "sim/task.h"
 
 #include "common/thread_annotations.h"
@@ -124,7 +126,9 @@ class FileSystem {
   /// may be shorter than requested (caller loops).
   bool allocate_extent(u64 blocks, Extent& out);
   void free_extent(const Extent& e);
-  void charge_meta(u32 ops, sim::Task then);
+  /// Arrive at `join` once this op's journal write, if any, lands (its
+  /// status ignored), else on the next tick.
+  void charge_meta(u32 ops, std::shared_ptr<sim::Join> join);
   [[nodiscard]] Lba lba_of_block(u64 fs_block) const {
     return fs_block * (cfg_.block_bytes / 512);
   }

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "fs/file_system.h"
 #include "harness/runner.h"
 #include "harness/stacks.h"
 #include "lsm/sst.h"
@@ -326,6 +327,53 @@ TEST(BlockPathAllocation, WarmOpenLoopHashKvTenantsAllocateNothingPerOp) {
   const auto n = run(250, reads);
   EXPECT_EQ(run(500, reads), n) << "the run allocated per op";
   EXPECT_LT(elapsed, 100 * kMs);
+}
+
+// Every journal_every_ops-th metadata op of the file system also writes
+// the journal block. The journal write's completion holds only the
+// caller's join, so beyond the device write itself it allocates nothing:
+// a warm append that journals allocates what a plain append and a bare
+// one-block device write do together.
+TEST(BlockPathAllocation, JournalingAppendAddsOnlyItsDeviceWrite) {
+  BlockBedConfig c;
+  c.dev = small_dev();
+  BlockDirectBed bed(c);
+  fs::FileSystem fs(bed.eq(), bed.device());
+  const fs::FileSystem::Handle h = fs.create("log");
+  auto append = [&] {
+    Status out = Status::kIoError;
+    const auto before = g_allocs;
+    fs.append(h, 4 * KiB, 1, [&out](Status s) { out = s; });
+    bed.eq().run();
+    EXPECT_EQ(out, Status::kOk);
+    return g_allocs - before;
+  };
+  auto device_write = [&](Lba lba) {
+    Status out = Status::kIoError;
+    const auto before = g_allocs;
+    bed.device().write(lba, 4 * KiB, 1, [&out](Status s) { out = s; });
+    bed.eq().run();
+    EXPECT_EQ(out, Status::kOk);
+    return g_allocs - before;
+  };
+  for (int i = 0; i < 64; ++i) append();  // warm-up
+  const Lba spare = fs.used_bytes() / 512 + 1024;  // past every extent
+  device_write(spare);
+  const auto write_allocs = device_write(spare);
+  u64 journaled = 0;
+  unsigned long long plain = ~0ull;
+  for (int i = 0; i < 32; ++i) {
+    const u64 journal0 = fs.journal_writes();
+    const auto allocs = append();
+    if (fs.journal_writes() == journal0) {
+      plain = std::min(plain, allocs);
+      continue;
+    }
+    ++journaled;
+    ASSERT_NE(plain, ~0ull) << "no plain append before the journal write";
+    EXPECT_LE(allocs, plain + write_allocs) << "append " << i;
+  }
+  EXPECT_EQ(journaled, 4u);
 }
 
 // --- the bed above the store -------------------------------------------------
