@@ -457,8 +457,9 @@ MixResult run_mix(KvStack& stack, const wl::TenantMix& mix,
     st.result.ops = st.completed;
     st.result.crashed = drv.result.crashed;
     TenantResult tr;
-    tr.name = st.tspec.name.empty() ? "t" + std::to_string(ti)
-                                    : st.tspec.name;
+    tr.name = st.tspec.name.empty()
+                  ? std::string("t").append(std::to_string(ti))
+                  : st.tspec.name;
     tr.weight = st.tspec.weight;
     tr.queue = st.tspec.queue;
     tr.nsid = st.tspec.nsid;

@@ -700,8 +700,12 @@ TEST(CrashRecovery, BedSwitchReachesEveryLayer) {
     const RunResult r = run_workload(*bed, churn_spec(3000, 21), opts);
     ASSERT_TRUE(r.crashed);
     EXPECT_GT(r.recovery.rebuild_pages_read, 0u);
-    if (kind == kLsm) EXPECT_GT(r.recovery.wal_records_replayed, 0u);
-    if (kind == kHashKv) EXPECT_GT(r.recovery.log_blocks_scanned, 0u);
+    if (kind == kLsm) {
+      EXPECT_GT(r.recovery.wal_records_replayed, 0u);
+    }
+    if (kind == kHashKv) {
+      EXPECT_GT(r.recovery.log_blocks_scanned, 0u);
+    }
   }
 }
 

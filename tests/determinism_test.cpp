@@ -85,7 +85,7 @@ std::string mix_report_json() {
   wl::TenantMix mix;
   for (u32 i = 0; i < 2; ++i) {
     wl::TenantSpec t;
-    t.name = i == 0 ? "fg" : "bg";
+    t.name = std::string(i == 0 ? "fg" : "bg");
     t.nsid = (u8)(i + 1);
     t.queue = i;
     t.weight = i == 0 ? 4 : 1;

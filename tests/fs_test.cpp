@@ -127,7 +127,7 @@ TEST(FileSystem, FreeListCoalesces) {
 TEST(FileSystem, JournalWritesHappen) {
   Bed bed;
   for (int i = 0; i < 20; ++i) {
-    auto h = bed.fs.create("f" + std::to_string(i));
+    auto h = bed.fs.create(std::string("f").append(std::to_string(i)));
     ASSERT_EQ(bed.append(h, 4 * KiB), Status::kOk);
   }
   EXPECT_GT(bed.fs.journal_writes(), 0u);
